@@ -37,8 +37,6 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The server's default plan-cache capacity (`cqa serve` without `--cache`).
-const CACHE_CAPACITY: usize = 64;
 /// Requests per serve pass, per distinct ingest request and overall for
 /// plan churn.
 const INGEST_PASS_PER_REQUEST: usize = 2;
@@ -262,16 +260,6 @@ impl Layers {
         );
         out.push("core.full_solve_us", us(&self.full_solve), "us");
         out.push("trace.overhead_us", us(&self.overhead), "us");
-    }
-}
-
-/// The options `cqa serve` resolves at start-up with no flags and no
-/// `CQA_*` variables, and the config it serves with.
-fn serve_defaults() -> ServeConfig {
-    ServeConfig {
-        defaults: ExecOptions::default(),
-        cache_capacity: CACHE_CAPACITY,
-        max_facts: None,
     }
 }
 
@@ -506,7 +494,9 @@ fn replay_plain(
 pub fn run_serve(wl: &ServeWorkload, churn: bool, seconds: f64, spans_out: &Path) -> Outcome {
     let mut out = Outcome::default();
     let mut layers = Layers::default();
-    let config = serve_defaults();
+    // What `cqa serve` runs with when given no flags and no `CQA_*`
+    // variables.
+    let config = ServeConfig::default();
     let pass_len = if churn {
         CHURN_PASS
     } else {
@@ -528,8 +518,8 @@ pub fn run_serve(wl: &ServeWorkload, churn: bool, seconds: f64, spans_out: &Path
     while pass == 0 || start.elapsed() < budget {
         // Warm both caches with the warm-up problems (the databases are
         // beside the point here, so the service gets them empty).
-        let cache = PlanCache::new(CACHE_CAPACITY);
-        let plain_cache = PlanCache::new(CACHE_CAPACITY);
+        let cache = PlanCache::new(config.cache_capacity);
+        let plain_cache = PlanCache::new(config.cache_capacity);
         let service = Service::new(config);
         for &i in &wl.warmup {
             let (key, empty) = warm_key(&wl.requests[i], &config.defaults);
