@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 /// Steps generated at a time; generation runs outside the timed window.
 const STEP_BATCH: usize = 256;
 /// Timed steps after which `peak_rss_mb` is read (see [`RssCheckpoint`]).
-const RSS_AFTER: u64 = 20_000;
+const RSS_AFTER: u64 = 10_000;
 
 /// The delta-session problem, parsed.
 pub fn problem() -> Problem {
