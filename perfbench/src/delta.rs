@@ -4,7 +4,7 @@
 //! or so.
 
 use crate::gen::{delta_problem, Rung, Step, World};
-use crate::{end_to_end, Outcome, RssCheckpoint, SETUP_REPS};
+use crate::{end_to_end, more_setups, Outcome, RssCheckpoint};
 use cqa_core::{DeltaOutcome, IncrementalSolver, Problem, Solver, Verdict};
 use cqa_model::parser::{parse_fks, parse_query, parse_schema};
 use cqa_model::Instance;
@@ -67,28 +67,35 @@ pub fn set_up(world: &World, problem: &Problem) -> (Instance, Solver, bool) {
     (db, solver, ok)
 }
 
+/// Runs throw-away set-ups while [`more_setups`] asks for them and returns
+/// their times.
+fn spare_setups(world: &World, problem: &Problem, out: &mut Outcome) -> Vec<Duration> {
+    let mut done = Vec::new();
+    while more_setups(&done) {
+        let t0 = Instant::now();
+        let (db, solver, ok) = set_up(world, problem);
+        done.push(t0.elapsed());
+        out.setup_failed |= !ok;
+        drop((db, solver));
+    }
+    done
+}
+
 /// Runs `delta-session` for `seconds` and reports the end-to-end metrics.
 pub fn run(seed: u64, seconds: f64) -> Outcome {
     let problem = problem();
     let world0 = World::new(seed);
     let mut out = Outcome::default();
-    let mut setups = Vec::new();
-    for _ in 1..SETUP_REPS {
-        let t0 = Instant::now();
-        let (db, solver, ok) = set_up(&world0, &problem);
-        setups.push(t0.elapsed());
-        out.setup_failed |= !ok;
-        drop((db, solver));
-    }
+    let mut setups = spare_setups(&world0, &problem, &mut out);
     let t0 = Instant::now();
     let mut db = world0.instance();
-    let solver = Solver::new(problem).expect("nested Lemma 45 is FO");
+    let solver = Solver::new(problem.clone()).expect("nested Lemma 45 is FO");
     let mut session = solver.incremental();
     let cold = session.solve(&db);
     setups.push(t0.elapsed());
     out.setup_failed |= cold.as_bool() != Some(world0.certain());
 
-    let mut world = world0;
+    let mut world = world0.clone();
     let mut pending: VecDeque<Step> = VecDeque::new();
     let mut ops = Vec::new();
     let budget = Duration::from_secs_f64(seconds);
@@ -116,6 +123,9 @@ pub fn run(seed: u64, seconds: f64) -> Outcome {
         }
     }
     let window = start.elapsed() - generating;
-    end_to_end(&mut out, ops, window, &setups, rss.value());
+    let rss = rss.value();
+    drop((session, db));
+    setups.extend(spare_setups(&world0, &problem, &mut out));
+    end_to_end(&mut out, ops, window, &setups, rss);
     out
 }

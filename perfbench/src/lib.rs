@@ -29,8 +29,26 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
-/// Set-up repetitions per run; `setup_s` is their median.
-pub const SETUP_REPS: usize = 5;
+/// Set-up repetitions before the timed window, at least; after the window
+/// one fewer runs. `setup_s` is the median of all of them: set-ups on both
+/// sides of the window sample the host at both ends of the run, so a short
+/// slow spell on a shared host moves fewer of them.
+pub const SETUP_MIN_REPS: usize = 3;
+/// Set-up repetitions before the timed window, at most.
+pub const SETUP_MAX_REPS: usize = 13;
+/// Past this much set-up time on one side of the window no repetitions
+/// beyond the minimum are started: quick set-ups repeat more often, so
+/// their median steadies.
+pub const SETUP_BUDGET: Duration = Duration::from_secs(1);
+
+/// Whether to run another throw-away set-up, given the times of those done
+/// so far on this side of the timed window. Before the window one more
+/// set-up, the one the window uses, always follows.
+pub fn more_setups(done: &[Duration]) -> bool {
+    let reps = done.len() + 1;
+    reps < SETUP_MIN_REPS
+        || (reps < SETUP_MAX_REPS && done.iter().sum::<Duration>() < SETUP_BUDGET)
+}
 
 /// One reported metric.
 #[derive(Clone, Debug)]
@@ -284,6 +302,20 @@ mod tests {
         assert_eq!(get("latency_p99_us"), 100.0);
         assert!((get("throughput_ops") - 1000.0).abs() < 1e-6);
         assert_eq!(get("setup_s"), 0.005);
+    }
+
+    #[test]
+    fn set_up_repetitions_stay_within_their_limits() {
+        let reps = |each: Duration| {
+            let mut done = Vec::new();
+            while more_setups(&done) {
+                done.push(each);
+            }
+            done.len() + 1
+        };
+        assert_eq!(reps(Duration::from_secs(1)), SETUP_MIN_REPS);
+        assert_eq!(reps(Duration::from_millis(200)), 6);
+        assert_eq!(reps(Duration::from_millis(10)), SETUP_MAX_REPS);
     }
 
     #[test]
