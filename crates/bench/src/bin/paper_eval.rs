@@ -10,7 +10,7 @@ use cqa_bench::{fmt_duration, timed, Experiment, Report};
 use cqa_core::classify::Classification;
 use cqa_core::fk_types::{type_table, FkType};
 use cqa_core::flatten::flatten;
-use cqa_core::{block_interference, CertainEngine, Problem, Solver};
+use cqa_core::{block_interference, Problem, Route, Solver};
 use cqa_fo::eval::eval_closed;
 use cqa_gen::graphs::layered_dag;
 use cqa_gen::{bibliography_scenario, block_chain, BlockChainConfig};
@@ -102,25 +102,6 @@ fn bench_eval_snapshot() {
     println!(
         "  plan speedup at the largest size: {:.1}×",
         bench.plan_largest_size_speedup
-    );
-    println!(
-        "shard-parallel plan execution: sequential vs answer_parallel ({} CPU(s) available)",
-        bench.threads_available
-    );
-    for row in &bench.plan_parallel_rows {
-        println!(
-            "  n={:<4} ({:>4} facts) × {} threads: sequential {:>10} — parallel {:>10} — {:.2}×",
-            row.n_blocks,
-            row.facts,
-            row.threads,
-            fmt_duration(std::time::Duration::from_nanos(row.sequential_ns as u64)),
-            fmt_duration(std::time::Duration::from_nanos(row.parallel_ns as u64)),
-            row.speedup,
-        );
-    }
-    println!(
-        "  parallel speedup at 4 threads, largest size: {:.2}×",
-        bench.plan_parallel_vs_sequential
     );
     println!("unified solver: direct CompiledPlan::answer vs Solver::solve (facade dispatch)");
     for row in &bench.solver_routing_rows {
@@ -447,15 +428,19 @@ fn e9_section8(report: &mut Report) {
     let q = parse_query(&s, "N('c',y), O(y), P(y)").unwrap();
     let fks = parse_fks(&s, "N[2] -> O").unwrap();
     let p = Problem::new(q, fks).unwrap();
-    let engine = match CertainEngine::try_new(p.clone()) {
-        Ok(e) => e,
-        Err(r) => {
-            report.push(Experiment::new("E9", "§8 rewriting", "in FO", r.to_string(), false));
+    let solver = match Solver::new(p) {
+        Ok(solver) => solver,
+        Err(e) => {
+            report.push(Experiment::new("E9", "§8 rewriting", "in FO", e.to_string(), false));
             return;
         }
     };
-    let solver = Solver::new(p).expect("§8's problem is FO");
-    let formula = engine.formula().unwrap();
+    let Route::FoPlan(route) = solver.route() else {
+        let got = solver.route().to_string();
+        report.push(Experiment::new("E9", "§8 rewriting", "in FO", got, false));
+        return;
+    };
+    let formula = flatten(route.plan()).unwrap();
     let yes = parse_instance(&s, "N(c,a) N(c,b) O(a) P(a) P(b)").unwrap();
     let mut ok = solver.solve(&yes).is_certain() && eval_closed(&yes, &formula);
     for gone in ["P(a)", "P(b)"] {

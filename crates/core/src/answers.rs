@@ -65,7 +65,7 @@ impl std::error::Error for AnswerError {}
 /// Computes the certain answers of `q` with free variables `free` on `db`:
 /// all tuples `⃗a` (over the candidate space of `db`-answers) such that
 /// `CERTAINTY(q[⃗x→⃗a], FK)` holds. Runs under [`ExecOptions::default`]
-/// (environment-resolved sharding width); see [`certain_answers_with`] for
+/// (environment-resolved batch width); see [`certain_answers_with`] for
 /// typed control.
 pub fn certain_answers(
     q: &Query,
@@ -76,9 +76,9 @@ pub fn certain_answers(
     certain_answers_with(q, fks, free, db, &ExecOptions::default())
 }
 
-/// [`certain_answers`] under explicit [`ExecOptions`]: the sharding width
-/// is taken from the options' once-resolved policy, so `CQA_THREADS` is
-/// not re-parsed per candidate batch.
+/// [`certain_answers`] under explicit [`ExecOptions`]: the candidate
+/// tuples shard across [`ExecOptions::threads`] workers, resolved once in
+/// the options, so `CQA_THREADS` is not re-parsed per candidate batch.
 pub fn certain_answers_with(
     q: &Query,
     fks: &FkSet,
@@ -116,12 +116,10 @@ pub fn certain_answers_with(
                         // plan over read-only views of `db`. The verdict
                         // vector is joined in input order and the output
                         // is a set, so the result is scheduling-invariant.
-                        let policy = options.policy();
                         let tuples: Vec<Vec<Cst>> = candidates.into_iter().collect();
-                        let verdicts: Vec<bool> = if policy.should_parallelize(tuples.len()) {
-                            policy.pool().map(&tuples, |t| compiled.answer_with(db, t))
-                        } else {
-                            tuples.iter().map(|t| compiled.answer_with(db, t)).collect()
+                        let verdicts: Vec<bool> = match options.batch_pool(tuples.len()) {
+                            Some(pool) => pool.map(&tuples, |t| compiled.answer_with(db, t)),
+                            None => tuples.iter().map(|t| compiled.answer_with(db, t)).collect(),
                         };
                         return Ok(tuples
                             .into_iter()

@@ -34,37 +34,16 @@
 //! differential-testing oracle, mirroring the `cqa-fo::interp` split of the
 //! formula evaluators.
 //!
-//! **Shard-parallel execution.** Two loops of the compiled executor are
-//! embarrassingly parallel and fan out across a scoped thread pool when a
-//! [`ParallelPolicy`] says the work is large enough
-//! ([`CompiledPlan::answer_parallel`]):
-//!
-//! * the filter steps partition the filtered relation's visible blocks
-//!   into per-thread range views ([`InstanceView::partition`] — an exact
-//!   cover, so the shard-local survivor sets union disjointly) while each
-//!   worker matches rows against the *whole* incoming view;
-//! * the Lemma 45 tail shards the block facts: each worker matches its
-//!   facts against `N(⃗c, ⃗t)` and evaluates the residual plan, and the
-//!   first failure raises a stop flag that cuts the whole fan-out short
-//!   (the certain answer is a universal over block facts).
-//!
-//! Workers only ever *read*: views are borrow-only ([`cqa_model::view`]'s
-//! `FactSource` impls are `Sync`), per-worker state is a few slot arrays,
-//! and reductions are order-independent (disjoint set unions, conjunction)
-//! — so parallel answers are bit-identical to sequential ones, which
-//! `tests/prop_parallel.rs` pins differentially across thread counts.
-//! Thread scopes never nest concurrently: each fan-out joins before the
-//! plan proceeds, and a Lemma 45 fan-out hands its workers a sequential
-//! context, so residuals inside a worker cannot open a second scope.
-//! (Sequential stretches do pass the live context down — an outer block
-//! below the threshold still lets a large inner block fan out.)
+//! Evaluation runs on the calling thread. Parallelism lives one grain up,
+//! across whole requests ([`crate::Solver::solve_many`] batches and
+//! `certain_answers` candidate tuples): a single plan's block loops are too
+//! short for a thread fan-out to pay for itself.
 //!
 //! Compilation can fail ([`CompileError`]) in the rare case where the
 //! frozen residual problem falls outside the pipeline's invariants (the
-//! same cases where [`crate::flatten`] fails); callers such as
-//! [`crate::CertainEngine`] then fall back to the interpretive evaluator.
+//! same cases where [`crate::flatten`] fails); the solver then falls back to
+//! the interpretive evaluator.
 
-use crate::parallel::ParallelPolicy;
 use crate::pipeline::{RewritePlan, StepAction, Tail};
 use crate::problem::Problem;
 use cqa_analyze::{AuditReport, L45Ir, OpIr, PatIr, PlanIr, QueryIr, ReadSet, TailIr};
@@ -73,7 +52,6 @@ use cqa_model::{
     CompiledQuery, Cst, ForeignKey, Instance, InstanceView, JoinStrategy, ReadLog, RelName, Schema,
     Term, Var,
 };
-use rayon_lite::ThreadPool;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -89,32 +67,6 @@ impl fmt::Display for CompileError {
 }
 
 impl std::error::Error for CompileError {}
-
-/// The per-evaluation parallel context threaded through [`CompiledPlan`]'s
-/// internals: a borrowed pool (when the policy enabled parallelism at all)
-/// plus the policy whose floor gates each fan-out. Copy-cheap;
-/// [`ParCtx::SEQUENTIAL`] is what a Lemma 45 worker passes to residual
-/// evaluation after a fan-out, so thread scopes never nest concurrently.
-#[derive(Clone, Copy)]
-struct ParCtx<'p> {
-    pool: Option<&'p ThreadPool>,
-    policy: ParallelPolicy,
-}
-
-impl<'p> ParCtx<'p> {
-    /// The inline context: no pool, nothing ever fans out.
-    const SEQUENTIAL: ParCtx<'static> = ParCtx {
-        pool: None,
-        policy: ParallelPolicy::sequential(),
-    };
-
-    /// The pool, when a loop over `units` work items clears the policy's
-    /// fan-out floor ([`ParallelPolicy::clears_floor`] — the one shared
-    /// definition of the threshold).
-    fn fan(&self, units: usize) -> Option<&'p ThreadPool> {
-        self.pool.filter(|_| self.policy.clears_floor(units))
-    }
-}
 
 /// A term of a compiled Lemma 45 atom pattern.
 #[derive(Clone, Copy, Debug)]
@@ -398,7 +350,7 @@ impl CompiledPlan {
     pub fn answer_traced(&self, db: &Instance, log: &Arc<ReadLog>) -> bool {
         assert_eq!(self.n_params, 0, "tracing answers parameterless plans");
         let view = InstanceView::new(db).with_read_log(log.clone());
-        self.eval(&view, &[], ParCtx::SEQUENTIAL)
+        self.eval(&view, &[])
     }
 
     /// Number of parameters this plan expects.
@@ -448,36 +400,7 @@ impl CompiledPlan {
     /// per parameter, in [`CompiledPlan::compile_parameterized`] order).
     pub fn answer_with(&self, db: &Instance, args: &[Cst]) -> bool {
         assert_eq!(args.len(), self.n_params, "one argument per parameter");
-        self.eval(&InstanceView::new(db), args, ParCtx::SEQUENTIAL)
-    }
-
-    /// Like [`CompiledPlan::answer`], with the filter-step block loops and
-    /// the Lemma 45 block-fact fan-out sharded across threads per `policy`.
-    /// Answers are identical to the sequential path by construction (see
-    /// the module docs); a policy resolving to one thread, or work below
-    /// the policy's threshold, runs inline.
-    pub fn answer_parallel(&self, db: &Instance, policy: &ParallelPolicy) -> bool {
-        self.answer_with_parallel(db, &[], policy)
-    }
-
-    /// The parameterized form of [`CompiledPlan::answer_parallel`].
-    pub fn answer_with_parallel(
-        &self,
-        db: &Instance,
-        args: &[Cst],
-        policy: &ParallelPolicy,
-    ) -> bool {
-        assert_eq!(args.len(), self.n_params, "one argument per parameter");
-        let pool = policy.pool();
-        let ctx = if pool.threads() > 1 {
-            ParCtx {
-                pool: Some(&pool),
-                policy: *policy,
-            }
-        } else {
-            ParCtx::SEQUENTIAL
-        };
-        self.eval(&InstanceView::new(db), args, ctx)
+        self.eval(&InstanceView::new(db), args)
     }
 
     /// The relations this plan may read, at any nesting level. Every level
@@ -540,17 +463,17 @@ impl CompiledPlan {
     }
 
     /// Evaluates over a view (already reduced by enclosing levels).
-    fn eval(&self, base: &InstanceView<'_>, args: &[Cst], ctx: ParCtx<'_>) -> bool {
+    fn eval(&self, base: &InstanceView<'_>, args: &[Cst]) -> bool {
         let mut view = base.clone().restrict(&self.rels);
         for op in &self.ops {
-            view = op.apply(view, args, ctx, self.join);
+            view = op.apply(view, args, self.join);
         }
         match &self.tail {
             CompiledTail::Kw { formula, free_map } => {
                 let bound: Vec<Cst> = free_map.iter().map(|&i| args[i]).collect();
                 formula.eval_params(&view, &bound)
             }
-            CompiledTail::Lemma45(l) => l.eval(&view, args, ctx),
+            CompiledTail::Lemma45(l) => l.eval(&view, args),
         }
     }
 }
@@ -620,57 +543,40 @@ impl CompiledOp {
     /// Applies the step to the view: evaluates the block predicate over the
     /// *incoming* view (the reductions read the pre-step database), then
     /// hides the removed relation and installs the surviving-block filter.
-    ///
-    /// With a pool in `ctx` and enough blocks, the predicate loop shards:
-    /// the filtered relation's blocks are partitioned into per-thread range
-    /// views (an exact cover), each worker collects the surviving keys of
-    /// its shard while matching rows against the whole incoming view, and
-    /// the disjoint shard sets union into the same filter the sequential
-    /// loop builds.
     fn apply<'a>(
         &self,
         view: InstanceView<'a>,
         args: &[Cst],
-        ctx: ParCtx<'_>,
         join: JoinStrategy,
     ) -> InstanceView<'a> {
+        let mut keys: HashSet<Box<[Cst]>> = HashSet::new();
         let (drop, filter) = match self {
-            CompiledOp::FilterRelevant { drop, filter, .. }
-            | CompiledOp::FilterNonDangling { drop, filter, .. } => (*drop, *filter),
-        };
-        let survivors = |shard: &InstanceView<'a>| -> HashSet<Box<[Cst]>> {
-            let mut keys: HashSet<Box<[Cst]>> = HashSet::new();
-            match self {
-                CompiledOp::FilterRelevant {
-                    relevance, anchor, ..
-                } => {
-                    let mut matcher = relevance.anchored_matcher_via(*anchor, args, join);
-                    for (key, rows) in shard.blocks(filter) {
-                        if rows.iter().any(|row| matcher.matches(&view, row)) {
-                            keys.insert(key.into());
-                        }
+            CompiledOp::FilterRelevant {
+                drop,
+                filter,
+                relevance,
+                anchor,
+            } => {
+                let mut matcher = relevance.anchored_matcher_via(*anchor, args, join);
+                for (key, rows) in view.blocks(*filter) {
+                    if rows.iter().any(|row| matcher.matches(&view, row)) {
+                        keys.insert(key.into());
                     }
                 }
-                CompiledOp::FilterNonDangling { outgoing, .. } => {
-                    for (key, rows) in shard.blocks(filter) {
-                        if rows.iter().any(|row| non_dangling(&view, row, outgoing)) {
-                            keys.insert(key.into());
-                        }
+                (*drop, *filter)
+            }
+            CompiledOp::FilterNonDangling {
+                drop,
+                filter,
+                outgoing,
+            } => {
+                for (key, rows) in view.blocks(*filter) {
+                    if rows.iter().any(|row| non_dangling(&view, row, outgoing)) {
+                        keys.insert(key.into());
                     }
                 }
+                (*drop, *filter)
             }
-            keys
-        };
-        let keys = match ctx.fan(view.block_count(filter)) {
-            Some(pool) => {
-                let shards = view.partition(filter, pool.threads());
-                let mut keys: HashSet<Box<[Cst]>> = HashSet::new();
-                for shard_keys in pool.map(&shards, survivors) {
-                    keys.extend(shard_keys);
-                }
-                keys
-            }
-            None => survivors(&view),
         };
         view.hide(drop).with_block_filter(filter, keys)
     }
@@ -757,14 +663,7 @@ impl CompiledLemma45 {
                 }
                 None => {
                     evaluated += 1;
-                    let v = self.eval_row(
-                        view,
-                        &[],
-                        row,
-                        &mut xs_vals,
-                        &mut sub_args,
-                        ParCtx::SEQUENTIAL,
-                    );
+                    let v = self.eval_row(view, &[], row, &mut xs_vals, &mut sub_args);
                     cache.rows.insert((*row).into(), v);
                     v
                 }
@@ -776,7 +675,7 @@ impl CompiledLemma45 {
         (true, reused, evaluated)
     }
 
-    fn eval(&self, view: &InstanceView<'_>, args: &[Cst], ctx: ParCtx<'_>) -> bool {
+    fn eval(&self, view: &InstanceView<'_>, args: &[Cst]) -> bool {
         let key: Vec<Cst> = self
             .key
             .iter()
@@ -796,31 +695,11 @@ impl CompiledLemma45 {
         {
             return false;
         }
-        // The answer is a universal over the block facts, so the fan-out is
-        // a short-circuiting parallel conjunction: each worker evaluates
-        // its contiguous range of facts with per-worker slot buffers
-        // (allocated once per worker, reused across its facts), and
-        // residuals run sequentially inside the worker (the context is
-        // spent here).
-        if let Some(pool) = ctx.fan(block.len()) {
-            return pool.all_init(
-                &block,
-                || {
-                    (
-                        vec![None; self.n_xs],
-                        Vec::with_capacity(args.len() + self.n_xs),
-                    )
-                },
-                |(xs_vals, sub_args): &mut (Vec<Option<Cst>>, Vec<Cst>), row| {
-                    self.eval_row(view, args, row, xs_vals, sub_args, ParCtx::SEQUENTIAL)
-                },
-            );
-        }
         let mut sub_args: Vec<Cst> = Vec::with_capacity(args.len() + self.n_xs);
         let mut xs_vals: Vec<Option<Cst>> = vec![None; self.n_xs];
         block
             .iter()
-            .all(|row| self.eval_row(view, args, row, &mut xs_vals, &mut sub_args, ctx))
+            .all(|row| self.eval_row(view, args, row, &mut xs_vals, &mut sub_args))
     }
 
     /// One block fact: match it against `N(⃗c, ⃗t)` (a repair may keep a
@@ -834,7 +713,6 @@ impl CompiledLemma45 {
         row: &[Cst],
         xs_vals: &mut [Option<Cst>],
         sub_args: &mut Vec<Cst>,
-        ctx: ParCtx<'_>,
     ) -> bool {
         xs_vals.iter_mut().for_each(|v| *v = None);
         for (i, t) in self.pattern.iter().enumerate() {
@@ -857,7 +735,7 @@ impl CompiledLemma45 {
         sub_args.clear();
         sub_args.extend_from_slice(args);
         sub_args.extend(xs_vals.iter().map(|v| v.expect("⃗x covers the atom")));
-        self.sub.eval(view, sub_args, ctx)
+        self.sub.eval(view, sub_args)
     }
 }
 
@@ -1029,73 +907,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_across_widths_and_thresholds() {
-        // Depth-2 nested Lemma 45 with enough block facts to clear any
-        // threshold; sweeps widths (1 = inline) and fan-out thresholds
-        // (1 = always fan, large = never fan) on yes- and no-instances.
-        let (plan, compiled) = compiled(
-            "N[2,1] M[2,1] Q[1,1] P[1,1] O[1,1]",
-            "N('c',y), M(y,w), Q(w), P(w), O(y)",
-            "N[2] -> O, M[2] -> Q",
-        );
-        let s = Arc::new(parse_schema("N[2,1] M[2,1] Q[1,1] P[1,1] O[1,1]").unwrap());
-        let mut yes = String::new();
-        for i in 0..24 {
-            yes.push_str(&format!("N(c,y{i}) O(y{i}) M(y{i},w{i}) Q(w{i}) P(w{i}) "));
-        }
-        let no = format!("{yes} M(y7,wx) Q(wx)"); // second M-block fact breaks y7's chain
-        for text in [yes.as_str(), no.as_str(), ""] {
-            let db = parse_instance(&s, text).unwrap();
-            let expected = compiled.answer(&db);
-            assert_eq!(plan.answer(&db), expected, "oracle agrees on {text}");
-            for threads in [1usize, 2, 3, 8] {
-                for min_units in [1usize, 4, usize::MAX] {
-                    let policy = ParallelPolicy::with_threads(threads).fan_out_at(min_units);
-                    assert_eq!(
-                        compiled.answer_parallel(&db, &policy),
-                        expected,
-                        "threads={threads} min_units={min_units} on {} facts",
-                        db.len()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_filter_steps_match_sequential() {
-        // Lemma 37 + Lemma 40 shapes with many blocks, so the partitioned
-        // filter loops actually engage (min_units = 1).
-        for (schema, query, fks) in [
-            ("N[3,1] O[2,1]", "N(x,u,y), O(y,w)", "N[3] -> O"),
-            (
-                "N[2,1] O[1,1] T[2,1] U[2,1]",
-                "N(x,y), O(y), T(z,y), U(z,y)",
-                "N[2] -> O",
-            ),
-        ] {
-            let (plan, compiled) = compiled(schema, query, fks);
-            let s = Arc::new(parse_schema(schema).unwrap());
-            let mut text = String::new();
-            for i in 0..20 {
-                match schema.starts_with("N[3") {
-                    true => text.push_str(&format!("N(k{i},1,a{i}) O(a{i},3) ")),
-                    false => text.push_str(&format!("N(a{i},b{i}) O(b{i}) T(t{i},b{i}) U(t{i},b{i}) ")),
-                }
-            }
-            let db = parse_instance(&s, &text).unwrap();
-            let expected = plan.answer(&db);
-            let policy = ParallelPolicy::with_threads(4).fan_out_at(1);
-            assert_eq!(compiled.answer_parallel(&db, &policy), expected, "{query}");
-        }
-    }
-
-    #[test]
     fn compiled_artifacts_are_shareable_across_threads() {
-        // The fan-out shares the plan and the views by reference.
+        // Batches share one plan by reference across worker threads.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<CompiledPlan>();
-        assert_send_sync::<ParallelPolicy>();
     }
 
     #[test]

@@ -16,14 +16,15 @@
 //!   [`verdict::Verdict`]s;
 //! * [`classify::classify`] — Theorem 12: FO (with a constructed
 //!   [`pipeline::RewritePlan`]) vs. L-hard / NL-hard with witnesses;
-//! * [`engine::CertainEngine`] — the FO-only predecessor of the solver;
-//!   still the home of the flattened formula and SQL artifacts, its
-//!   `answer*` methods deprecated thin wrappers;
 //! * [`compiled_plan::CompiledPlan`] — the plan compiled once into a lazy,
 //!   view-backed executor (zero intermediate database materializations;
-//!   the solver's FO hot path), with shard-parallel execution of its block
-//!   loops under a [`parallel::ParallelPolicy`];
-//! * [`flatten`] — folds a plan into one closed first-order sentence.
+//!   the solver's FO hot path);
+//! * [`flatten`] — folds a plan into one closed first-order sentence (the
+//!   source of the FO route's formula and SQL artifacts).
+//!
+//! One parallel grain: [`solver::Solver::solve_many`] and
+//! [`answers::certain_answers`] shard whole batches across threads; a single
+//! plan evaluation always runs on the calling thread.
 //!
 //! Internal machinery, each mapped to its definition in the paper:
 //!
@@ -42,13 +43,11 @@ pub mod answers;
 pub mod classify;
 pub mod compiled_plan;
 pub mod depgraph;
-pub mod engine;
 pub mod fk_types;
 pub mod flatten;
 pub mod hardness;
 pub mod interference;
 pub mod obedience;
-pub mod parallel;
 pub mod pipeline;
 pub mod problem;
 pub mod solver;
@@ -58,11 +57,9 @@ pub use answers::{certain_answers, certain_answers_with, AnswerError};
 pub use classify::{classify, Classification, NotFoReason};
 pub use compiled_plan::{CompileError, CompiledPlan, ResidualCache};
 pub use depgraph::{fk_star, DepGraph};
-pub use engine::CertainEngine;
 pub use hardness::{lemma14_instance, lemma15_reduction};
 pub use interference::{block_interference, InterferenceWitness};
 pub use obedience::{atom_obedient, is_obedient_set, qfk_atoms};
-pub use parallel::ParallelPolicy;
 pub use pipeline::RewritePlan;
 pub use problem::Problem;
 pub use solver::{

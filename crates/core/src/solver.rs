@@ -4,9 +4,7 @@
 //! The paper's classification is a *trichotomy* in practice: a problem is
 //! FO-rewritable (Theorem 12 case 1), polynomial-time decidable through a
 //! combinatorial reduction (the Proposition 16/17 shapes), or hard — and
-//! the crate historically served only the first class, with
-//! [`crate::CertainEngine::try_new`] abandoning every caller it answered
-//! `Err` to. [`Solver`] closes the gap: [`SolverBuilder::build`] classifies
+//! [`Solver`] serves all three: [`SolverBuilder::build`] classifies
 //! **once** and compiles a [`Route`]:
 //!
 //! * [`Route::FoPlan`] — the consistent FO rewriting, executed through the
@@ -21,11 +19,13 @@
 //!   instead of silently brute-forcing past its budget.
 //!
 //! All answering goes through [`Solver::solve`] (one typed [`Verdict`]
-//! carrying provenance) and [`Solver::solve_many`] (a lazy, input-ordered
-//! iterator that internally batches and — on the FO and poly-time routes —
-//! shards each chunk through the PR 4 thread-pool machinery; the fallback
-//! route stays sequential, since per-instance oracle search dominates and
-//! its verdicts carry per-instance diagnostics).
+//! carrying provenance, evaluated on the calling thread) and
+//! [`Solver::solve_many`] (a lazy, input-ordered iterator that internally
+//! batches and — on the FO and poly-time routes — shards each chunk across
+//! a scoped thread pool; the fallback route stays sequential, since
+//! per-instance oracle search dominates and its verdicts carry
+//! per-instance diagnostics). Batches are the only parallel grain: a single
+//! plan evaluation is too short for a thread fan-out to pay for itself.
 //!
 //! ```
 //! use cqa_core::{BackendKind, Problem, Solver};
@@ -56,7 +56,6 @@
 use crate::classify::{classify, Classification, NotFoReason};
 use crate::compiled_plan::{CompiledPlan, ResidualCache};
 use crate::flatten::{flatten, FlattenError};
-use crate::parallel::ParallelPolicy;
 use crate::pipeline::RewritePlan;
 use crate::problem::Problem;
 use crate::verdict::{BackendKind, Certainty, DeltaOutcome, Provenance, Verdict};
@@ -66,6 +65,7 @@ use cqa_model::schema::RelName;
 use cqa_model::{Cst, Delta, Instance, JoinStrategy, ModelError};
 use cqa_repair::{CertaintyOracle, OracleOutcome, SearchLimits};
 use cqa_solvers::backend::{Backend, DualHornBackend, ReachabilityBackend};
+use rayon_lite::ThreadPool;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::time::Instant;
@@ -96,9 +96,9 @@ pub enum FallbackBudget {
 }
 
 /// Typed execution options for the unified solver — one struct folding the
-/// knobs that used to be scattered across [`ParallelPolicy`] parameters,
-/// the `CQA_THREADS` environment variable, the compiled-vs-materialized
-/// engine split and the oracle's search limits.
+/// batch width (the `CQA_THREADS` environment variable), the
+/// compiled-vs-materialized evaluator split, the join strategy and the
+/// oracle's search limits.
 ///
 /// `CQA_THREADS` and `CQA_EVALUATOR` are consulted exactly **once**, in
 /// [`ExecOptions::default`]; every later use of the options reads the
@@ -114,21 +114,17 @@ pub enum FallbackBudget {
 ///     fallback: FallbackBudget::Allow(SearchLimits::budgeted(10_000)),
 ///     ..ExecOptions::default()
 /// };
-/// // The resolved policy clamps the requested width to the machine's
-/// // availability, so it never exceeds the stored cap.
 /// assert_eq!(opts.threads, 4);
-/// assert!(opts.policy().threads() <= 4);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Worker-thread width for sharded execution (batch sharding in
-    /// [`Solver::solve_many`], block-loop sharding inside the compiled
-    /// plan). `1` disables fan-out. Resolved from `CQA_THREADS` (else
-    /// available parallelism) once at construction — never `0`.
+    /// Worker-thread width for batch sharding ([`Solver::solve_many`] and
+    /// [`crate::certain_answers_with`]), clamped to the available
+    /// parallelism when a batch fans out. `1` disables fan-out. Resolved
+    /// from `CQA_THREADS` (else available parallelism) once at
+    /// construction — never `0`. A single [`Solver::solve`] always runs on
+    /// the calling thread.
     pub threads: usize,
-    /// Minimum work units (instances in a batch, blocks in a filter loop)
-    /// before fanning out; below it the sequential path runs.
-    pub min_parallel_units: usize,
     /// Which FO evaluator to execute on [`Route::FoPlan`].
     pub evaluator: Evaluator,
     /// How the compiled FO evaluator executes acyclic residual
@@ -146,8 +142,7 @@ impl Default for ExecOptions {
     /// one place `CQA_THREADS` is read.
     fn default() -> ExecOptions {
         ExecOptions {
-            threads: ParallelPolicy::default().threads(),
-            min_parallel_units: ParallelPolicy::default().min_units,
+            threads: rayon_lite::current_num_threads(),
             evaluator: Evaluator::Compiled,
             join: JoinStrategy::from_env(),
             fallback: FallbackBudget::Deny,
@@ -156,22 +151,19 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// Fully sequential execution: one thread, never fan out. (Also what
-    /// benchmark baselines use, so facade overhead is measured against the
-    /// same single-threaded plan execution.)
+    /// Fully sequential execution: batches never fan out.
     pub fn sequential() -> ExecOptions {
         ExecOptions {
             threads: 1,
-            min_parallel_units: usize::MAX,
             ..ExecOptions::default()
         }
     }
 
-    /// Replaces the worker width (builder style). `0` re-resolves from the
-    /// environment, mirroring [`ParallelPolicy::with_threads`].
+    /// Replaces the batch width (builder style). `0` re-resolves from the
+    /// environment.
     pub fn with_threads(mut self, threads: usize) -> ExecOptions {
         self.threads = match threads {
-            0 => ParallelPolicy::default().threads(),
+            0 => rayon_lite::current_num_threads(),
             n => n,
         };
         self
@@ -195,15 +187,23 @@ impl ExecOptions {
         self.with_fallback(SearchLimits::default())
     }
 
-    /// The resolved sharding policy: `max_threads` is pinned (non-zero),
-    /// so consumers never re-read the environment.
-    pub fn policy(&self) -> ParallelPolicy {
-        ParallelPolicy {
-            min_units: self.min_parallel_units,
-            max_threads: self.threads.max(1),
-        }
+    /// The batch width actually used: [`ExecOptions::threads`] clamped to
+    /// the available parallelism, so a wide request on a one-core machine
+    /// runs inline instead of paying spawns for identical answers.
+    fn width(&self) -> usize {
+        self.threads.clamp(1, rayon_lite::current_num_threads())
+    }
+
+    /// The pool for a batch of `units` independent items, or `None` when
+    /// the batch should run inline (one thread, or below [`MIN_FAN_OUT`]).
+    pub(crate) fn batch_pool(&self, units: usize) -> Option<ThreadPool> {
+        (self.width() > 1 && units >= MIN_FAN_OUT).then(|| ThreadPool::new(self.width()))
     }
 }
+
+/// Fewest items a batch must hold before it fans out across threads;
+/// smaller batches run inline, where a spawn would cost more than it saves.
+const MIN_FAN_OUT: usize = 16;
 
 /// Why a [`Solver`] could not be built.
 #[derive(Debug)]
@@ -625,9 +625,9 @@ impl Solver {
     /// [`Solver::solve`] under **caller-supplied execution options** — the
     /// per-request surface a long-lived service needs: one cached, shared
     /// solver (classification and plan compilation amortized across every
-    /// request) while each request pins its own sharding width and, on the
-    /// fallback route, its own oracle budget. The *compiled* choices —
-    /// evaluator and join strategy — are baked into the route at
+    /// request) while each request pins, on the fallback route, its own
+    /// oracle budget. The *compiled* choices — evaluator and join
+    /// strategy — are baked into the route at
     /// [`SolverBuilder::build`] time and are **not** re-read from
     /// `options`; a caller that needs a differently compiled route builds
     /// (or cache-keys) a different solver.
@@ -702,9 +702,10 @@ impl Solver {
     /// verdict `i` always corresponds to `dbs[i]`, whatever the shard
     /// completion order. Internally the iterator pulls chunks of the input
     /// and, on the FO-compiled and poly-time routes, shards each chunk
-    /// across the scoped thread pool (the PR 4 batching machinery) under
-    /// [`ExecOptions::threads`] — the fallback route stays sequential so
-    /// each verdict keeps its per-instance diagnostics. Chunk evaluation
+    /// across a scoped thread pool of [`ExecOptions::threads`] workers once
+    /// the chunk is large enough to pay for the spawns — the fallback
+    /// route stays sequential so each verdict keeps its per-instance
+    /// diagnostics. Chunk evaluation
     /// happens on demand, so an early `take(k)` never pays for the tail of
     /// the batch.
     ///
@@ -740,9 +741,8 @@ impl Solver {
     }
 
     /// One dispatch under `options`: certainty, backend tag, optional
-    /// diagnostics. The sharding policy and (on the fallback route) the
-    /// oracle budget come from `options`; everything compiled at build
-    /// time comes from the route.
+    /// diagnostics. The oracle budget of the fallback route comes from
+    /// `options`; everything compiled at build time comes from the route.
     fn decide_with(
         &self,
         db: &Instance,
@@ -750,15 +750,11 @@ impl Solver {
     ) -> (Certainty, BackendKind, Option<String>) {
         match &self.route {
             Route::FoPlan(r) => match &r.compiled {
-                Some(c) => {
-                    let policy = options.policy();
-                    let ans = if policy.threads() > 1 {
-                        c.answer_parallel(db, &policy)
-                    } else {
-                        c.answer(db)
-                    };
-                    (Certainty::from_bool(ans), BackendKind::CompiledPlan, None)
-                }
+                Some(c) => (
+                    Certainty::from_bool(c.answer(db)),
+                    BackendKind::CompiledPlan,
+                    None,
+                ),
                 None => (
                     Certainty::from_bool(r.plan.answer(db)),
                     BackendKind::MaterializedPlan,
@@ -834,8 +830,8 @@ impl SolveMany<'_> {
     /// Pulls the next chunk of the input and evaluates it, sharding across
     /// the pool when the route and options allow.
     fn refill(&mut self) {
-        let policy = self.solver.options.policy();
-        let width = policy.threads();
+        let options = &self.solver.options;
+        let width = options.width();
         // Only routes that can shard pull wide chunks; the fallback route
         // (and an uncompiled FO plan) stays at width 1 so `take(k)` never
         // pays for oracle searches beyond the pulled prefix.
@@ -858,17 +854,17 @@ impl SolveMany<'_> {
         // The fallback route never shards: its per-instance oracle search
         // dominates any spawn saving and its verdicts carry per-instance
         // diagnostics (inconclusive reasons, witnesses).
-        if policy.should_parallelize(chunk.len()) {
+        if let Some(pool) = options.batch_pool(chunk.len()) {
             let start = Instant::now();
             let sharded: Option<(Vec<bool>, BackendKind)> = match &self.solver.route {
                 Route::FoPlan(r) => r.compiled.as_ref().map(|c| {
                     (
-                        policy.pool().map(chunk, |db| c.answer(db)),
+                        pool.map(chunk, |db| c.answer(db)),
                         BackendKind::CompiledPlan,
                     )
                 }),
                 Route::PolyTime(r) => Some((
-                    policy.pool().map(chunk, |db| r.backend.certain(db)),
+                    pool.map(chunk, |db| r.backend.certain(db)),
                     r.kind,
                 )),
                 Route::Fallback(_) => None,
@@ -1300,10 +1296,7 @@ mod tests {
     fn solve_many_shards_the_poly_route_in_input_order() {
         let s = Arc::new(parse_schema("E[2,1] V[1,1]").unwrap());
         let solver = Solver::builder(problem(&s, "E(x,x), V(x)", "E[2] -> V"))
-            .options(ExecOptions {
-                min_parallel_units: 1,
-                ..ExecOptions::default().with_threads(8)
-            })
+            .options(ExecOptions::default().with_threads(8))
             .build()
             .unwrap();
         // Instance i certain iff i is even (odd ones get an escape edge).
@@ -1336,15 +1329,12 @@ mod tests {
 
     #[test]
     fn fallback_solve_many_pulls_one_instance_at_a_time() {
-        // Even under a wide thread policy the fallback route cannot shard,
+        // Even under a wide batch width the fallback route cannot shard,
         // so chunks stay at width 1: `take(k)` never pays for oracle
         // searches past the pulled prefix.
         let s = Arc::new(parse_schema("N[3,1] O[2,1]").unwrap());
         let solver = Solver::builder(problem(&s, "N(x,'c',y), O(y,w)", "N[3] -> O"))
-            .options(ExecOptions {
-                min_parallel_units: 1,
-                ..ExecOptions::default().with_threads(8).allow_fallback()
-            })
+            .options(ExecOptions::default().with_threads(8).allow_fallback())
             .build()
             .unwrap();
         let dbs: Vec<Instance> = (0..5)
@@ -1405,14 +1395,15 @@ mod tests {
         let opts = ExecOptions::default();
         assert!(opts.threads >= 1, "threads resolved, never 0");
         let seq = ExecOptions::sequential();
-        assert_eq!(seq.policy().threads(), 1);
-        assert!(!seq.policy().should_parallelize(usize::MAX - 1));
+        assert_eq!(seq.width(), 1);
+        assert!(seq.batch_pool(usize::MAX).is_none());
         let wide = ExecOptions::sequential().with_threads(6);
-        // The policy clamps to availability, so the resolved width is the
+        // The width clamps to availability, so the batch pool is the
         // requested 6 only on machines that wide.
-        assert_eq!(
-            wide.policy().threads(),
-            6.min(rayon_lite::current_num_threads())
+        assert_eq!(wide.width(), 6.min(rayon_lite::current_num_threads()));
+        assert!(
+            wide.batch_pool(MIN_FAN_OUT - 1).is_none(),
+            "small batches run inline"
         );
     }
 
@@ -1640,7 +1631,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_with_pins_the_request_policy_not_the_built_one() {
+    fn solve_with_pins_the_request_options_not_the_built_ones() {
         let s = Arc::new(parse_schema("N[2,1] O[1,1] P[1,1]").unwrap());
         let solver = Solver::builder(problem(&s, "N('c',y), O(y), P(y)", "N[2] -> O"))
             .options(ExecOptions::default().with_threads(8))

@@ -8,7 +8,7 @@
 //! per attribute position, with the rows globally key-sorted so every
 //! primary-key block is a contiguous range. It is built lazily on first
 //! demand and invalidated by any mutation of its relation, so steady-state
-//! read workloads (scans, sharding, semijoin builds) pay the sort once.
+//! read workloads (scans, semijoin builds) pay the sort once.
 //!
 //! What the layout buys:
 //!
@@ -16,9 +16,8 @@
 //!   single contiguous slice instead of striding across boxed row
 //!   allocations ([`ColumnarRelation::column`]);
 //! * **blocks as ranges** — a block is `rows[start..end]` of the sorted
-//!   order, so [`crate::view::InstanceView::partition`] shards on contiguous
-//!   column ranges and a key probe is a binary search
-//!   ([`ColumnarRelation::block_range`]);
+//!   order, so a block scan reads contiguous column ranges and a key probe
+//!   is a binary search ([`ColumnarRelation::block_range`]);
 //! * **deterministic order** — the sorted projection is canonical
 //!   regardless of the mutation history that produced the row table, which
 //!   makes two projections comparable with `==`.

@@ -238,68 +238,6 @@ impl<'a> InstanceView<'a> {
         self.visible.contains(&rel)
     }
 
-    /// The number of visible blocks of `rel` — an O(1) probe (the filter's
-    /// key set, or the index's block count), used by work-splitting
-    /// policies to decide whether a partition is worth it.
-    pub fn block_count(&self, rel: RelName) -> usize {
-        if !self.visible.contains(&rel) {
-            return 0;
-        }
-        let Some(r) = self.idx.rel(rel) else { return 0 };
-        match self.filters.get(&rel) {
-            Some(f) => f.keys.len(),
-            None => r.blocks.len(),
-        }
-    }
-
-    /// Splits the visible blocks of `rel` into at most `n` disjoint
-    /// sub-views forming an **exact cover**: every visible block key of
-    /// `rel` appears in exactly one part, no key is duplicated or dropped,
-    /// and all other relations stay untouched in every part. Parts are
-    /// cheap (the shared state sits behind `Arc`s and borrowed index
-    /// handles), so one per worker thread is a few-pointer clone.
-    ///
-    /// The split is deterministic and balanced: the visible blocks are read
-    /// off the relation's key-sorted [`ColumnarRelation`] — contiguous
-    /// column ranges, one block each, already in canonical order (the row
-    /// table itself is in arbitrary, mutation-history-dependent order) —
-    /// and assigned to parts in contiguous ranges whose sizes differ by at
-    /// most one. Returns exactly `min(n, #visible blocks)` parts — fewer
-    /// than `n` only when `rel` has fewer than `n` visible blocks, and no
-    /// parts at all when it has none (hidden relation, empty filter, or
-    /// unpopulated relation); `n = 0` is treated as `n = 1`.
-    pub fn partition(&self, rel: RelName, n: usize) -> Vec<InstanceView<'a>> {
-        let mut keys: Vec<Box<[Cst]>> = Vec::new();
-        if self.visible.contains(&rel) {
-            self.note_scan(rel);
-            if let Some(r) = self.idx.rel(rel) {
-                let filter = self.filters.get(&rel);
-                for (key, _rows) in r.columnar().blocks() {
-                    if filter.is_none_or(|f| f.keys.contains(key)) {
-                        keys.push(key.into());
-                    }
-                }
-            }
-        }
-        if keys.is_empty() {
-            return Vec::new();
-        }
-        let parts = n.max(1).min(keys.len());
-        let (base, extra) = (keys.len() / parts, keys.len() % parts);
-        let mut out = Vec::with_capacity(parts);
-        let mut rest = keys.as_slice();
-        for i in 0..parts {
-            let take = base + usize::from(i < extra);
-            let (chunk, tail) = rest.split_at(take);
-            rest = tail;
-            out.push(
-                self.clone()
-                    .with_block_filter(rel, chunk.iter().cloned().collect()),
-            );
-        }
-        out
-    }
-
     /// The visible blocks of `rel` as `(key, rows)` pairs of borrowed
     /// slices (iteration order follows the underlying hash index).
     pub fn blocks(&self, rel: RelName) -> Vec<(&'a [Cst], Vec<&'a [Cst]>)> {
@@ -697,86 +635,10 @@ mod tests {
         assert_eq!(bind.get(0), Some(Cst::new("b")));
     }
 
-    /// The multiset of `(key, rows)` pairs visible across `parts` must be
-    /// exactly the pairs visible in `whole` — no duplicated and no dropped
-    /// block keys.
-    fn assert_exact_cover(whole: &InstanceView<'_>, parts: &[InstanceView<'_>], rel: RelName) {
-        let expected: BTreeMap<Vec<Cst>, usize> = whole
-            .blocks(rel)
-            .into_iter()
-            .map(|(k, rows)| (k.to_vec(), rows.len()))
-            .collect();
-        let mut seen: BTreeMap<Vec<Cst>, usize> = BTreeMap::new();
-        for part in parts {
-            for (k, rows) in part.blocks(rel) {
-                let prev = seen.insert(k.to_vec(), rows.len());
-                assert!(prev.is_none(), "block {k:?} appears in two parts");
-            }
-        }
-        assert_eq!(seen, expected, "parts must cover exactly the visible blocks");
-    }
-
-    #[test]
-    fn partition_exactly_covers_blocks() {
-        let db = db();
-        let v = InstanceView::new(&db);
-        for n in [1usize, 2, 3] {
-            let parts = v.partition(r(), n);
-            assert_eq!(parts.len(), n.min(2), "R has 2 blocks");
-            assert_exact_cover(&v, &parts, r());
-            // Other relations are untouched in every part.
-            for part in &parts {
-                assert!(part.contains_row(RelName::new("S"), &[Cst::new("1"), Cst::new("x")]));
-            }
-        }
-    }
-
-    #[test]
-    fn partition_more_parts_than_blocks() {
-        let db = db();
-        let v = InstanceView::new(&db);
-        let parts = v.partition(r(), 100);
-        assert_eq!(parts.len(), 2, "one part per block, never more");
-        assert_exact_cover(&v, &parts, r());
-        assert_eq!(v.partition(r(), 0).len(), 1, "n = 0 behaves like n = 1");
-    }
-
-    #[test]
-    fn partition_of_empty_or_hidden_is_empty() {
-        let db = db();
-        let hidden = InstanceView::new(&db).hide(r());
-        assert!(hidden.partition(r(), 4).is_empty());
-        let filtered = InstanceView::new(&db).with_block_filter(r(), HashSet::new());
-        assert!(filtered.partition(r(), 4).is_empty());
-        assert!(InstanceView::new(&db).partition(RelName::new("Zz"), 4).is_empty());
-    }
-
-    #[test]
-    fn partition_respects_an_existing_filter() {
-        let db = db();
-        let keep: HashSet<Box<[Cst]>> = [vec![Cst::new("a")].into_boxed_slice()].into();
-        let v = InstanceView::new(&db).with_block_filter(r(), keep);
-        let parts = v.partition(r(), 4);
-        assert_eq!(parts.len(), 1, "only the surviving block is split");
-        assert_exact_cover(&v, &parts, r());
-        assert!(!parts[0].contains_row(r(), &[Cst::new("b"), Cst::new("1")]));
-    }
-
-    #[test]
-    fn block_count_tracks_visibility_and_filters() {
-        let db = db();
-        let v = InstanceView::new(&db);
-        assert_eq!(v.block_count(r()), 2);
-        assert_eq!(v.block_count(RelName::new("S")), 1);
-        assert_eq!(v.clone().hide(r()).block_count(r()), 0);
-        let keep: HashSet<Box<[Cst]>> = [vec![Cst::new("b")].into_boxed_slice()].into();
-        assert_eq!(v.with_block_filter(r(), keep).block_count(r()), 1);
-    }
-
     #[test]
     fn views_are_shareable_across_threads() {
-        // The borrow-only FactSource impls must stay usable from worker
-        // threads: a view (and the index it borrows) is Send + Sync.
+        // Batch workers share instances (and the views over them) by
+        // reference: a view and the index it borrows are Send + Sync.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<InstanceView<'_>>();
         assert_send_sync::<InstanceIndex>();

@@ -1,6 +1,6 @@
-//! Concurrency stress tests for the lazily built [`Instance::index`]: the
-//! shard-parallel executor hands `&Instance` to pool workers that may all
-//! take the *first* look at a fresh instance simultaneously, so the
+//! Concurrency stress tests for the lazily built [`Instance::index`]:
+//! batch workers and serve connections share `&Instance` across threads
+//! that may all take the *first* look at a fresh instance simultaneously, so the
 //! `OnceLock` cache behind `index()` must be safe (and stable) under
 //! concurrent first-touch, and the index-backed read paths
 //! (`guarded_candidates`, `adom`, `contains`) must agree with a
@@ -101,14 +101,6 @@ fn racing_view_readers_agree_with_a_sequential_reader() {
     std::thread::scope(|s| {
         for _ in 0..THREADS {
             s.spawn(|| {
-                for part in view.partition(RelName::new("R"), THREADS) {
-                    let binding = Binding::new(2);
-                    let mut scratch = Vec::new();
-                    let got =
-                        FactSource::guarded_candidates(&part, &atom, &binding, &mut scratch)
-                            .len();
-                    assert!(got <= expected, "a shard can never see extra rows");
-                }
                 let local = view.clone();
                 let binding = Binding::new(2);
                 let mut scratch = Vec::new();

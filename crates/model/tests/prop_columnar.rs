@@ -4,8 +4,8 @@
 //! off the current rows (cache invalidation is exact — never stale, never
 //! lossy), its column slices must reassemble exactly the live row set, and
 //! its block directory must tile the sorted row order with contiguous,
-//! key-ascending, non-overlapping ranges (the exact-cover law
-//! [`InstanceView::partition`] shards on).
+//! key-ascending, non-overlapping ranges that agree with the blocks an
+//! [`InstanceView`] serves.
 
 use cqa_model::parser::parse_schema;
 use cqa_model::{ColumnarRelation, Cst, Instance, InstanceView, RelName};
@@ -145,16 +145,15 @@ proptest! {
         }
     }
 
-    /// The view-level partition law restated over column ranges: the shard
-    /// views' block keys are exactly the projection's block directory, each
-    /// exactly once, and each shard's rows for a key equal the projection's
-    /// rows in that key's column range.
+    /// The view's blocks restated over column ranges: the view's block
+    /// keys are exactly the projection's block directory, each exactly
+    /// once, and the view's rows for a key equal the projection's rows in
+    /// that key's column range.
     #[test]
-    fn partition_tiles_the_columnar_block_directory(
+    fn view_blocks_tile_the_columnar_block_directory(
         picks in proptest::collection::vec(
             (Just(0usize), 0..2usize, 0..POOL.len(), 0..POOL.len(), 0..POOL.len()),
             0..24),
-        n in 1..9usize,
     ) {
         let mut db = empty_db();
         for step in &picks {
@@ -163,31 +162,28 @@ proptest! {
         }
         for rel in [RelName::new("R"), RelName::new("S")] {
             let Some(columnar) = db.index().columnar(rel).cloned() else {
-                // The relation never held a row: nothing to partition.
+                // The relation never held a row: no blocks to compare.
                 prop_assert!(db.facts().all(|f| f.rel != rel));
                 continue;
             };
             let view = InstanceView::new(&db);
             let mut seen: Vec<Vec<Cst>> = Vec::new();
-            for shard in view.partition(rel, n) {
-                for (key, rows) in shard.blocks(rel) {
-                    seen.push(key.to_vec());
-                    let range = columnar
-                        .block_range(key)
-                        .expect("every visible block is in the directory");
-                    let mut expected: Vec<Vec<Cst>> = range
-                        .map(|i| {
-                            let mut buf = Vec::new();
-                            columnar.copy_row_into(i, &mut buf);
-                            buf
-                        })
-                        .collect();
-                    let mut got: Vec<Vec<Cst>> =
-                        rows.iter().map(|r| r.to_vec()).collect();
-                    expected.sort();
-                    got.sort();
-                    prop_assert_eq!(got, expected, "shard rows = column range rows");
-                }
+            for (key, rows) in view.blocks(rel) {
+                seen.push(key.to_vec());
+                let range = columnar
+                    .block_range(key)
+                    .expect("every visible block is in the directory");
+                let mut expected: Vec<Vec<Cst>> = range
+                    .map(|i| {
+                        let mut buf = Vec::new();
+                        columnar.copy_row_into(i, &mut buf);
+                        buf
+                    })
+                    .collect();
+                let mut got: Vec<Vec<Cst>> = rows.iter().map(|r| r.to_vec()).collect();
+                expected.sort();
+                got.sort();
+                prop_assert_eq!(got, expected, "view rows = column range rows");
             }
             seen.sort();
             let mut directory: Vec<Vec<Cst>> =
@@ -196,8 +192,7 @@ proptest! {
             prop_assert_eq!(
                 seen,
                 directory,
-                "shards tile the block directory exactly once (n = {})",
-                n
+                "view blocks tile the block directory exactly once"
             );
         }
     }

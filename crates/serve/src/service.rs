@@ -7,7 +7,7 @@
 //! | op | fields | reply |
 //! |----|--------|-------|
 //! | `ping` | — | `{"ok":true,"pong":true}` |
-//! | `solve` | `schema`, `query`, `db` (required); `fks`, `evaluator`, `materialized`, `threads`, `budget` (optional) | verdict + provenance (below) |
+//! | `solve` | `schema`, `query`, `db` (required); `fks`, `evaluator`, `materialized`, `budget` (optional) | verdict + provenance (below) |
 //! | `emit` | `schema`, `query`, `db` (required); `fks`, `format` (`"datalog"` \| `"sql"`, default `"datalog"`) (optional) | `{"ok":true,"format":…,"route":…,"goal":…,"artifact":…}` — the self-contained artifact text (see `cqa-emit`); reuses the same plan cache as `solve` |
 //! | `metrics` | — | `{"ok":true,"metrics":{…}}` (see [`crate::MetricsRegistry::snapshot`]) |
 //! | `shutdown` | — | `{"ok":true,"shutdown":true}`; the accept loop then drains and exits |
@@ -33,7 +33,7 @@
 //! the process environment again. The **compiled** choices (`evaluator`,
 //! `materialized`) are part of the plan-cache key, so a client pinning an
 //! evaluator can never be handed a plan compiled for a different one; the
-//! **runtime** choices (`threads`, `budget`) are passed to
+//! **runtime** choice (`budget`) is passed to
 //! [`cqa_core::Solver::solve_with`] per call on the shared cached solver.
 //!
 //! ## Admission control
@@ -219,13 +219,6 @@ impl Service {
             if m {
                 options.evaluator = Evaluator::Materialized;
             }
-        }
-        if let Some(t) = request.get("threads") {
-            let t = t
-                .as_u64()
-                .filter(|t| *t >= 1)
-                .ok_or_else(|| SolveRefusal::Error("threads must be a positive integer".to_string()))?;
-            options = options.with_threads(t as usize);
         }
         if let Some(b) = request.get("budget") {
             let b = b

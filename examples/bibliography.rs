@@ -25,7 +25,6 @@ fn main() {
     );
 
     let problem = Problem::new(bib.query.clone(), bib.fks.clone()).unwrap();
-    let engine = CertainEngine::try_new(problem.clone()).expect("q0 is FO-rewritable");
     let solver = Solver::new(problem).expect("q0 is FO-rewritable");
 
     let verdict = solver.solve(&bib.db);
@@ -43,7 +42,11 @@ fn main() {
     println!("…and ⊕-repairs with foreign keys are more numerous still.");
 
     // The rewriting as SQL, ready for a relational engine.
-    let (ddl, expr) = engine.sql().unwrap();
+    let Route::FoPlan(route) = solver.route() else {
+        unreachable!("q0 is FO-rewritable");
+    };
+    let formula = flatten(route.plan()).unwrap();
+    let (ddl, expr) = cqa::fo::to_sql(bib.query.schema(), &formula).unwrap();
     println!("\n-- SQL deployment artifact --------------------------------");
     println!("{ddl}");
     let shown: String = expr.chars().take(240).collect();

@@ -28,11 +28,13 @@
 //! `--schema`/`--query`/`--fks` flags; a `db:` line in the file supplies
 //! an inline database (`--db` overrides it).
 //!
+//! `sql` renders the FO route's flattened rewriting as SQL; like `answer`,
+//! it exits 4 on a valid problem with no FO route.
+//!
 //! `solve` routes the problem to its best backend (compiled FO plan,
 //! dual-Horn / reachability poly-time solver, or — with
 //! `--fallback-budget N` — the budgeted exhaustive oracle) and prints the
-//! verdict with provenance. `--threads N` pins the sharding width
-//! (otherwise `CQA_THREADS`, resolved once); `--materialized` forces the
+//! verdict with provenance. `--materialized` forces the
 //! interpretive FO evaluator; `--evaluator auto|backtracking|semijoin`
 //! pins how acyclic residual conjunctions execute (otherwise
 //! `CQA_EVALUATOR`, resolved once).
@@ -60,9 +62,8 @@
 //! | 1 | no / not certain (`classify`: not in FO) |
 //! | 2 | usage or input error (including `serve` env-validation refusal) |
 //! | 3 | inconclusive (fallback budget exhausted) or request rejected by admission control |
-//! | 4 | `answer`: the problem is **not FO-rewritable** — the query/FK pair is the wrong shape for `answer`, use `solve`. `emit`: the problem routes only to the budgeted oracle, so **no polynomial-size artifact exists**. Distinct from 1 so scripts can tell "the answer is no" from "wrong tool / no artifact". |
+//! | 4 | `answer`, `sql`: the problem is **not FO-rewritable** — the query/FK pair is the wrong shape for `answer` or `sql`, use `solve`. `emit`: the problem routes only to the budgeted oracle, so **no polynomial-size artifact exists**. Distinct from 1 so scripts can tell "the answer is no" from "wrong tool / no artifact". |
 
-use cqa::core::flatten::flatten;
 use cqa::prelude::*;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -80,7 +81,6 @@ struct Args {
     out: Option<String>,
     execute: bool,
     fallback_budget: Option<u64>,
-    threads: Option<usize>,
     evaluator: Option<JoinStrategy>,
     materialized: bool,
     // serve / request flags
@@ -110,7 +110,6 @@ fn parse_args() -> Result<Args, String> {
         out: None,
         execute: false,
         fallback_budget: None,
-        threads: None,
         evaluator: None,
         materialized: false,
         socket: None,
@@ -148,9 +147,6 @@ fn parse_args() -> Result<Args, String> {
                 args.fallback_budget =
                     Some(value.parse().map_err(|e| format!("--fallback-budget: {e}"))?)
             }
-            "--threads" => {
-                args.threads = Some(value.parse().map_err(|e| format!("--threads: {e}"))?)
-            }
             "--evaluator" => {
                 args.evaluator = Some(value.parse().map_err(|e| format!("--evaluator: {e}"))?)
             }
@@ -176,7 +172,7 @@ fn usage() -> String {
     "usage: cqa <classify|rewrite|sql|solve|answer|oracle|emit|analyze|serve|request> \
      --schema \"R[2,1] …\" --query \"R(x,y), …\" [--fks \"R[2] -> S, …\"] [--db facts.txt] \
      [--problem file.problem] [--fixture NAME|list] [--datalog artifact.dl] \
-     [--fallback-budget N] [--threads N] [--evaluator auto|backtracking|semijoin] \
+     [--fallback-budget N] [--evaluator auto|backtracking|semijoin] \
      [--materialized]\n\
      emit:    --format datalog|sql  [--out PATH] [--execute]  \
      (self-contained artifact; exit 4 when only the oracle route exists)\n\
@@ -185,7 +181,7 @@ fn usage() -> String {
      request: --socket PATH | --tcp ADDR  [--op ping|solve|emit|metrics|shutdown] [--db-text \"R(a,1) …\"] \
      [--line '{\"op\":…}']\n\
      exit codes: 0 yes/certain · 1 no/not-certain · 2 usage or input error · \
-     3 inconclusive or rejected · 4 not-FO (answer) / no artifact (emit)"
+     3 inconclusive or rejected · 4 not-FO (answer, sql) / no artifact (emit)"
         .to_string()
 }
 
@@ -197,9 +193,9 @@ enum Outcome {
     No,
     /// Budget exhausted or request rejected by admission control — exit 3.
     Inconclusive,
-    /// `cqa answer` only: the problem is not FO-rewritable, so `answer`
-    /// is the wrong tool (use `cqa solve`) — exit 4, distinct from the
-    /// "certain no" exit 1.
+    /// `cqa answer` / `cqa sql`: the problem is not FO-rewritable, so the
+    /// command is the wrong tool (use `cqa solve`) — exit 4, distinct from
+    /// the "certain no" exit 1. Also `cqa emit` when no artifact exists.
     NotFo,
 }
 
@@ -337,14 +333,11 @@ fn run_serve(args: &Args) -> Result<Outcome, String> {
     // Strict env validation (exit 2 on failure). The lenient, warn-once
     // readers used by `ExecOptions::default()` resolve the same values
     // once these checks pass.
-    let env_threads = rayon_lite::env_threads().map_err(|e| format!("refusing to serve: {e}"))?;
+    rayon_lite::env_threads().map_err(|e| format!("refusing to serve: {e}"))?;
     let env_join = JoinStrategy::try_from_env().map_err(|e| format!("refusing to serve: {e}"))?;
 
     let endpoint = cqa::serve::Endpoint::from_flags(args.socket.as_deref(), args.tcp.as_deref())?;
     let mut defaults = ExecOptions::default();
-    if let Some(n) = args.threads.or(env_threads) {
-        defaults = defaults.with_threads(n);
-    }
     if let Some(join) = args.evaluator.or(env_join) {
         defaults = defaults.with_join(join);
     }
@@ -416,9 +409,6 @@ fn run_request(args: &Args) -> Result<Outcome, String> {
                 if args.materialized {
                     fields.insert("materialized".to_string(), Value::Bool(true));
                 }
-                if let Some(n) = args.threads {
-                    fields.insert("threads".to_string(), Value::Number(n as f64));
-                }
                 if let Some(b) = args.fallback_budget {
                     fields.insert("budget".to_string(), Value::Number(b as f64));
                 }
@@ -443,6 +433,27 @@ fn run_request(args: &Args) -> Result<Outcome, String> {
         Some("certain") | None => Ok(Outcome::Yes),
         Some("not certain") => Ok(Outcome::No),
         _ => Ok(Outcome::Inconclusive),
+    }
+}
+
+/// The solver for a command that only works on the FO route (`answer`,
+/// `sql`). `None` means the problem is valid but not FO-rewritable: the
+/// reason goes to stderr and the caller exits 4 — NOT 1 (a certain "no")
+/// and NOT 2 (a malformed invocation), so scripts can tell "wrong tool"
+/// apart from both.
+fn fo_solver(problem: Problem, options: ExecOptions) -> Option<Solver> {
+    let not_fo = "use `cqa solve` (with --fallback-budget for the hard class) \
+                  or `cqa oracle` for small instances";
+    match Solver::builder(problem).options(options).build() {
+        Ok(solver) if solver.route().kind() == RouteKind::Fo => Some(solver),
+        Ok(solver) => {
+            eprintln!("not FO-rewritable (routed {}); {not_fo}", solver.route());
+            None
+        }
+        Err(r) => {
+            eprintln!("not FO-rewritable ({r}); {not_fo}");
+            None
+        }
     }
 }
 
@@ -500,17 +511,20 @@ fn run() -> Result<Outcome, String> {
             }
         },
         "sql" => {
-            let engine = CertainEngine::try_new(problem).map_err(|r| r.to_string())?;
-            let (ddl, expr) = engine.sql().map_err(|e| e.to_string())?;
+            let Some(solver) = fo_solver(problem, ExecOptions::default()) else {
+                return Ok(Outcome::NotFo);
+            };
+            let Route::FoPlan(route) = solver.route() else {
+                unreachable!("fo_solver returns FO-routed solvers only");
+            };
+            let formula = flatten(route.plan()).map_err(|e| e.to_string())?;
+            let (ddl, expr) = cqa::fo::to_sql(&schema, &formula).map_err(|e| e.to_string())?;
             println!("{ddl}");
             println!("SELECT CASE WHEN {expr} THEN 1 ELSE 0 END AS certain;");
             Ok(Outcome::Yes)
         }
         "solve" => {
             let mut options = ExecOptions::default();
-            if let Some(n) = args.threads {
-                options = options.with_threads(n);
-            }
             if let Some(join) = args.evaluator {
                 options = options.with_join(join);
             }
@@ -603,28 +617,15 @@ fn run() -> Result<Outcome, String> {
             Ok(Outcome::Yes)
         }
         "answer" => {
-            // The FO-only legacy path, now a thin alias of the solver's
-            // FO route. Anything not FO exits 4 — NOT 1 (a certain "no")
-            // and NOT 2 (a malformed invocation): the problem is valid,
-            // `answer` is just the wrong tool for its class, and scripts
-            // need to tell those apart.
-            let not_fo = "use `cqa solve` (with --fallback-budget for the hard class) \
-                          or `cqa oracle` for small instances";
+            // The FO-only legacy path, a thin alias of the solver's FO
+            // route.
             let mut options = ExecOptions::default();
             if let Some(join) = args.evaluator {
                 options = options.with_join(join);
             }
-            let solver = match Solver::builder(problem).options(options).build() {
-                Ok(solver) => solver,
-                Err(r) => {
-                    eprintln!("not FO-rewritable ({r}); {not_fo}");
-                    return Ok(Outcome::NotFo);
-                }
-            };
-            if solver.route().kind() != RouteKind::Fo {
-                eprintln!("not FO-rewritable (routed {}); {not_fo}", solver.route());
+            let Some(solver) = fo_solver(problem, options) else {
                 return Ok(Outcome::NotFo);
-            }
+            };
             let db = load_db()?;
             let ans = solver.solve(&db).is_certain();
             println!(

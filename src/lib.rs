@@ -57,8 +57,7 @@ pub mod prelude {
     pub use cqa_core::{
         classify::{Classification, NotFoReason},
         compiled_plan::{CompileError, CompiledPlan},
-        engine::CertainEngine,
-        parallel::ParallelPolicy,
+        flatten::flatten,
         pipeline::RewritePlan,
         problem::Problem,
         solver::{

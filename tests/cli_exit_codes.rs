@@ -1,5 +1,5 @@
 //! CLI exit-code contract, driven through the real binary
-//! (`CARGO_BIN_EXE_cqa`): the not-FO exit 4 for `cqa answer`, and
+//! (`CARGO_BIN_EXE_cqa`): the not-FO exit 4 for `cqa answer` and `cqa sql`, and
 //! `cqa serve`'s strict refusal to start on invalid `CQA_THREADS` /
 //! `CQA_EVALUATOR` — via subprocess environments, never in-process
 //! `set_var`.
@@ -75,6 +75,40 @@ fn answer_distinguishes_certain_no_from_not_fo() {
     for p in [db, db_no, db_hard] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+fn problem_file(name: &str) -> String {
+    format!(
+        "{}/examples/problems/{name}.problem",
+        env!("CARGO_MANIFEST_DIR")
+    )
+}
+
+#[test]
+fn sql_distinguishes_fo_from_not_fo() {
+    // An FO problem renders its rewriting as SQL and exits 0.
+    let fo = cqa()
+        .args(["sql", "--problem", &problem_file("nested_lemma45")])
+        .output()
+        .unwrap();
+    assert_eq!(fo.status.code(), Some(0), "FO problem exits 0: {fo:?}");
+    let stdout = String::from_utf8_lossy(&fo.stdout);
+    assert!(stdout.contains("SELECT CASE WHEN"), "{stdout}");
+
+    // The regression: a valid non-FO problem used to exit 2, the usage
+    // error code. Like `answer`, it must exit 4 — whether the problem
+    // routes to a poly-time backend or only to the oracle.
+    for name in ["reachability", "oracle_only"] {
+        let not_fo = cqa()
+            .args(["sql", "--problem", &problem_file(name)])
+            .output()
+            .unwrap();
+        assert_eq!(not_fo.status.code(), Some(4), "{name}: not-FO exits 4");
+        let stderr = String::from_utf8_lossy(&not_fo.stderr);
+        assert!(stderr.contains("not FO-rewritable"), "{name}: {stderr}");
+    }
+    let hard = cqa().arg("sql").args(HARD).output().unwrap();
+    assert_eq!(hard.status.code(), Some(4), "hard flags: not-FO exits 4");
 }
 
 #[test]

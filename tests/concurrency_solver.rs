@@ -84,21 +84,6 @@ fn shared_fo_solver_is_thread_consistent() {
 }
 
 #[test]
-fn shared_fo_solver_with_internal_fanout_is_thread_consistent() {
-    // Threads racing *outside* the solver while the compiled plan also
-    // fans out *inside* (threads > 1): the two levels of parallelism must
-    // not interfere.
-    let s = Arc::new(parse_schema("N[2,1] O[1,1] P[1,1]").unwrap());
-    let solver = solver_for(
-        &s,
-        "N('c',y), O(y), P(y)",
-        "N[2] -> O",
-        ExecOptions::default().with_threads(4),
-    );
-    race(&solver, &instances(&s), 8);
-}
-
-#[test]
 fn shared_polytime_solver_is_thread_consistent() {
     // Proposition 17 shape → dual-Horn backend.
     let s = Arc::new(parse_schema("N[3,1] O[1,1]").unwrap());

@@ -1,11 +1,7 @@
 //! Integration tests for the user-facing features layered on the core
-//! library: the certain-answers API, the engine's SQL emission, formula
-//! statistics, and the repair-counting module's relationship to certainty.
-//!
-//! The engine's `answer*` surface is deprecated in favor of `Solver`, but
-//! stays covered here on purpose — deprecated wrappers that silently rot
-//! are worse than none.
-#![allow(deprecated)]
+//! library: the certain-answers API, batched solving, the FO route's SQL
+//! rendering, formula statistics, and the repair-counting module's
+//! relationship to certainty.
 
 use cqa::core::certain_answers;
 use cqa::fo::stats;
@@ -115,17 +111,20 @@ fn certain_answers_fast_path_matches_per_tuple_grounding_on_collisions() {
 
 #[test]
 fn batched_answers_amortize_one_compiled_plan() {
-    // The engine compiles the plan once; answer_many evaluates a stream of
+    // The solver compiles the plan once; solve_many evaluates a stream of
     // databases against it and must agree with the interpretive
     // materializing evaluator on every one.
     let s = Arc::new(parse_schema("N[2,1] O[1,1] P[1,1]").unwrap());
     let q = parse_query(&s, "N('c',y), O(y), P(y)").unwrap();
     let fks = parse_fks(&s, "N[2] -> O").unwrap();
-    let engine = CertainEngine::try_new(Problem::new(q, fks).unwrap()).unwrap();
+    let solver = Solver::new(Problem::new(q, fks).unwrap()).unwrap();
+    let Route::FoPlan(route) = solver.route() else {
+        panic!("§8's problem routes FO, got {}", solver.route());
+    };
     assert!(
-        engine.compiled_plan().is_some(),
+        route.compiled().is_some(),
         "the §8 plan must compile: {:?}",
-        engine.compile_plan().err()
+        CompiledPlan::compile(route.plan()).err()
     );
 
     let dbs: Vec<Instance> = [
@@ -139,11 +138,11 @@ fn batched_answers_amortize_one_compiled_plan() {
     .map(|text| parse_instance(&s, text).unwrap())
     .collect();
 
-    let batched = engine.answer_many(&dbs);
+    let batched: Vec<bool> = solver.solve_many(&dbs).map(|v| v.is_certain()).collect();
     assert_eq!(batched, vec![true, false, true, false, false]);
     for (db, &got) in dbs.iter().zip(&batched) {
-        assert_eq!(got, engine.answer_materialized(db), "on {db}");
-        assert_eq!(got, engine.answer(db), "on {db}");
+        assert_eq!(got, route.plan().answer(db), "on {db}");
+        assert_eq!(got, solver.solve(db).is_certain(), "on {db}");
     }
 }
 
@@ -202,8 +201,12 @@ fn engine_sql_mentions_every_relation() {
     let s = Arc::new(parse_schema("N[2,1] O[1,1] P[1,1]").unwrap());
     let q = parse_query(&s, "N('c',y), O(y), P(y)").unwrap();
     let fks = parse_fks(&s, "N[2] -> O").unwrap();
-    let engine = CertainEngine::try_new(Problem::new(q, fks).unwrap()).unwrap();
-    let (ddl, expr) = engine.sql().unwrap();
+    let solver = Solver::new(Problem::new(q, fks).unwrap()).unwrap();
+    let Route::FoPlan(route) = solver.route() else {
+        panic!("§8's problem routes FO, got {}", solver.route());
+    };
+    let formula = flatten(route.plan()).unwrap();
+    let (ddl, expr) = cqa::fo::to_sql(&s, &formula).unwrap();
     for rel in ["N", "O", "P"] {
         assert!(ddl.contains(&format!("FROM {rel}")), "DDL misses {rel}");
         assert!(expr.contains(&format!("FROM {rel}")), "WHERE misses {rel}");

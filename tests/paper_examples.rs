@@ -181,9 +181,11 @@ fn RewritePlanOf(s: &Arc<Schema>, q: &str) -> cqa::core::RewritePlan {
 fn e9_section8_rewriting() {
     let s = Arc::new(parse_schema("N[2,1] O[1,1] P[1,1]").unwrap());
     let p = problem(&s, "N('c',y), O(y), P(y)", "N[2] -> O");
-    let solver = Solver::new(p.clone()).unwrap();
-    let engine = CertainEngine::try_new(p).unwrap();
-    let f = engine.formula().unwrap();
+    let solver = Solver::new(p).unwrap();
+    let Route::FoPlan(route) = solver.route() else {
+        panic!("§8's problem routes FO, got {}", solver.route());
+    };
+    let f = flatten(route.plan()).unwrap();
     assert!(f.is_closed());
 
     let yes = parse_instance(&s, "N(c,a) N(c,b) O(a) P(a) P(b)").unwrap();
@@ -191,7 +193,7 @@ fn e9_section8_rewriting() {
     let oracle = CertaintyOracle::new();
     assert_eq!(
         oracle
-            .is_certain(&yes, engine.problem().query(), engine.problem().fks())
+            .is_certain(&yes, solver.problem().query(), solver.problem().fks())
             .as_bool(),
         Some(true)
     );
@@ -201,7 +203,7 @@ fn e9_section8_rewriting() {
         assert!(!solver.solve(&db).is_certain(), "without {missing}");
         assert_eq!(
             oracle
-                .is_certain(&db, engine.problem().query(), engine.problem().fks())
+                .is_certain(&db, solver.problem().query(), solver.problem().fks())
                 .as_bool(),
             Some(false),
             "oracle without {missing}"

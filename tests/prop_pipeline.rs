@@ -14,10 +14,6 @@
 //! * **dangling facts and multi-fact blocks** — exercising the Lemma 37/40
 //!   block filters and the non-dangling witness test through the view.
 
-// The deprecated engine batch surface is exercised deliberately: it is the
-// thin wrapper the differential harness pins against the plan executors.
-#![allow(deprecated)]
-
 use cqa::core::compiled_plan::CompiledPlan;
 use cqa::prelude::*;
 use proptest::prelude::*;
@@ -143,21 +139,24 @@ proptest! {
     fn answer_many_matches_per_instance_answers(
         batches in proptest::collection::vec(arb_picks(), 1..4)
     ) {
-        // The batched engine surface over one compiled plan agrees with
-        // both executors per instance.
+        // The solver's batch surface over one compiled plan agrees with
+        // the materializing executor per instance.
         let schema = Arc::new(parse_schema(NESTED.schema).unwrap());
         let q = parse_query(&schema, NESTED.query).unwrap();
         let fks = parse_fks(&schema, NESTED.fks).unwrap();
-        let engine = CertainEngine::try_new(Problem::new(q, fks).unwrap()).unwrap();
-        prop_assert!(engine.compiled_plan().is_some(), "compiles for the nested family");
+        let solver = Solver::new(Problem::new(q, fks).unwrap()).unwrap();
+        let Route::FoPlan(route) = solver.route() else {
+            panic!("the nested family routes FO, got {}", solver.route());
+        };
+        prop_assert!(route.compiled().is_some(), "compiles for the nested family");
         let dbs: Vec<Instance> = batches
             .iter()
             .map(|p| instance_for(&schema, NESTED.rels, p))
             .collect();
-        let batched = engine.answer_many(&dbs);
+        let batched: Vec<bool> = solver.solve_many(&dbs).map(|v| v.is_certain()).collect();
         prop_assert_eq!(batched.len(), dbs.len());
         for (db, &got) in dbs.iter().zip(&batched) {
-            prop_assert_eq!(got, engine.answer_materialized(db), "on {}", db);
+            prop_assert_eq!(got, route.plan().answer(db), "on {}", db);
         }
     }
 }

@@ -179,17 +179,15 @@ proptest! {
     }
 
     /// `solve_many` ≡ per-instance `solve` in input order, across thread
-    /// widths and ragged batch lengths.
+    /// widths and ragged batch lengths (up to 39 instances, so chunks clear
+    /// the batch fan-out floor and actually shard).
     #[test]
     fn solve_many_matches_solve_in_input_order(
-        batches in proptest::collection::vec(arb_picks(), 1..6),
+        batches in proptest::collection::vec(arb_picks(), 1..40),
         threads in 1usize..9,
     ) {
         let s = Arc::new(parse_schema("N[2,1] O[1,1] P[1,1]").unwrap());
-        let options = ExecOptions {
-            min_parallel_units: 1,
-            ..ExecOptions::default().with_threads(threads)
-        };
+        let options = ExecOptions::default().with_threads(threads);
         let solver = solver_for(&s, "N('c',y), O(y), P(y)", "N[2] -> O", options);
         let dbs: Vec<Instance> = batches
             .iter()
@@ -235,10 +233,7 @@ fn solve_many_preserves_input_order_across_ragged_shards() {
 
     for threads in [2usize, 3, 8, 64] {
         let solver = Solver::builder(problem.clone())
-            .options(ExecOptions {
-                min_parallel_units: 1,
-                ..ExecOptions::default().with_threads(threads)
-            })
+            .options(ExecOptions::default().with_threads(threads))
             .build()
             .unwrap();
         for round in 0..4 {
