@@ -1,12 +1,5 @@
 //! Ablation benches (design-choice experiments of DESIGN.md §3):
 //!
-//! * `guarded_vs_naive_fo` — the guarded top-down FO evaluator vs. plain
-//!   active-domain evaluation of the same rewriting formula;
-//! * `compiled_vs_interpreted` — the compiled evaluation core
-//!   (slot bindings, pre-split guards, hash-indexed candidates) vs. the
-//!   interpretive reference evaluator, on the same guarded formula; the
-//!   `compile+eval` row includes the one-time compile step, the `eval`
-//!   row reuses a precompiled formula;
 //! * `plan_compiled_vs_materialized` — the view-backed `CompiledPlan`
 //!   executor vs. the materializing `RewritePlan::answer` on the depth-2
 //!   nested Lemma 45 workload (the interpreter renames and materializes a
@@ -28,66 +21,13 @@
 //!   (unsatisfiable, so backtracking pays the full n² scan×scan loop).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use cqa_attack::kw_rewrite;
 use cqa_bench::{
     acyclic_join_instance, nested_l45_instance, nested_l45_plan, ACYCLIC_JOIN_QUERY,
     ACYCLIC_JOIN_SCHEMA,
 };
-use cqa_fo::eval::{eval_with, Strategy};
-use cqa_fo::{interp, CompiledFormula};
 use cqa_model::parser::{parse_query, parse_schema};
-use cqa_model::{satisfies, CompiledQuery, Cst, Instance, JoinStrategy, RelName, Schema, Valuation};
+use cqa_model::{satisfies, CompiledQuery, Cst, Instance, JoinStrategy, RelName};
 use std::sync::Arc;
-
-fn chain_db(s: &Arc<Schema>, n: usize) -> Instance {
-    let mut db = Instance::new(s.clone());
-    for i in 0..n {
-        db.insert_named("R", &[&format!("a{i}"), &format!("b{i}")]).unwrap();
-        db.insert_named("S", &[&format!("b{i}"), &format!("c{i}")]).unwrap();
-    }
-    db
-}
-
-fn bench_guarded_vs_naive(c: &mut Criterion) {
-    let s = Arc::new(parse_schema("R[2,1] S[2,1]").unwrap());
-    let q = parse_query(&s, "R(x,y), S(y,z)").unwrap();
-    let f = kw_rewrite(&q).unwrap();
-    let mut group = c.benchmark_group("guarded_vs_naive_fo");
-    group.sample_size(10);
-    for n in [8usize, 32] {
-        let db = chain_db(&s, n);
-        group.bench_with_input(BenchmarkId::new("guarded", n), &db, |b, db| {
-            b.iter(|| eval_with(db, &f, &Valuation::new(), Strategy::Guarded))
-        });
-        group.bench_with_input(BenchmarkId::new("naive", n), &db, |b, db| {
-            b.iter(|| eval_with(db, &f, &Valuation::new(), Strategy::Naive))
-        });
-    }
-    group.finish();
-}
-
-fn bench_compiled_vs_interpreted(c: &mut Criterion) {
-    let s = Arc::new(parse_schema("R[2,1] S[2,1]").unwrap());
-    let q = parse_query(&s, "R(x,y), S(y,z)").unwrap();
-    let f = kw_rewrite(&q).unwrap();
-    let compiled = CompiledFormula::compile(&f, Strategy::Guarded);
-    let mut group = c.benchmark_group("compiled_vs_interpreted");
-    group.sample_size(10);
-    for n in [8usize, 64, 512] {
-        let db = chain_db(&s, n);
-        db.index(); // warm the instance index outside the timed loops
-        group.bench_with_input(BenchmarkId::new("eval", n), &db, |b, db| {
-            b.iter(|| compiled.eval_closed(db))
-        });
-        group.bench_with_input(BenchmarkId::new("compile+eval", n), &db, |b, db| {
-            b.iter(|| CompiledFormula::compile(&f, Strategy::Guarded).eval_closed(db))
-        });
-        group.bench_with_input(BenchmarkId::new("interpreted", n), &db, |b, db| {
-            b.iter(|| interp::eval_closed(db, &f))
-        });
-    }
-    group.finish();
-}
 
 fn bench_plan_compiled_vs_materialized(c: &mut Criterion) {
     let (s, plan, compiled) = nested_l45_plan();
@@ -252,8 +192,6 @@ fn bench_semijoin_vs_backtracking(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_guarded_vs_naive,
-    bench_compiled_vs_interpreted,
     bench_plan_compiled_vs_materialized,
     bench_delta_reanswer_vs_full,
     bench_block_index,

@@ -9,8 +9,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cqa_core::classify::Classification;
 use cqa_core::flatten::flatten;
 use cqa_core::Problem;
-use cqa_fo::eval::{eval_closed, Strategy};
-use cqa_fo::{interp, CompiledFormula};
+use cqa_fo::eval::eval_closed;
+use cqa_fo::CompiledFormula;
 use cqa_model::parser::{parse_fks, parse_query, parse_schema};
 use cqa_model::{Instance, Schema};
 use cqa_repair::CertaintyOracle;
@@ -40,7 +40,7 @@ fn instance(s: &Arc<Schema>, n: usize) -> Instance {
 
 fn bench_rewriting(c: &mut Criterion) {
     let (s, plan, formula) = setup();
-    let compiled = CompiledFormula::compile(&formula, Strategy::Guarded);
+    let compiled = CompiledFormula::compile(&formula);
     let mut group = c.benchmark_group("fo_rewriting");
     group.sample_size(20);
     for n in [8usize, 64, 512] {
@@ -55,12 +55,6 @@ fn bench_rewriting(c: &mut Criterion) {
             BenchmarkId::new("flat_formula_precompiled", n),
             &db,
             |b, db| b.iter(|| compiled.eval_closed(db)),
-        );
-        // The pre-PR hot path, kept as the ablation baseline.
-        group.bench_with_input(
-            BenchmarkId::new("flat_formula_interpreted", n),
-            &db,
-            |b, db| b.iter(|| interp::eval_closed(db, &formula)),
         );
     }
     group.finish();

@@ -1,8 +1,8 @@
 //! `paper-eval` — regenerates every figure, worked example and proposition
 //! of the paper and prints a paper-vs-measured table (experiments E1–E16 of
 //! DESIGN.md §3). Writes `experiments.json` next to the table, then runs
-//! the compiled-vs-interpreted evaluation benchmark and snapshots it to
-//! `BENCH_eval.json` (the perf-trajectory baseline; uploaded by CI).
+//! the evaluation-core benchmark and snapshots it to `BENCH_eval.json`
+//! (the perf-trajectory baseline; uploaded by CI).
 //!
 //! Run with: `cargo run -p cqa-bench --bin paper-eval --release`
 
@@ -58,36 +58,12 @@ fn main() {
     bench_eval_snapshot();
 }
 
-/// Measures the interpreted-vs-compiled formula evaluators on the
-/// `fo_vs_naive` guarded workload, the materializing-vs-compiled plan
-/// executors on the nested Lemma 45 workload, and snapshots both to
-/// `BENCH_eval.json`.
+/// Measures the materializing-vs-compiled plan executors on the nested
+/// Lemma 45 workload (and the other evaluation-core rows of
+/// [`cqa_bench::EvalBench`]) and snapshots them to `BENCH_eval.json`.
 fn bench_eval_snapshot() {
     println!("━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━");
-    println!("evaluation core: interpreted vs compiled (guarded strategy)");
-    let bench = cqa_bench::run_eval_bench(
-        &[8, 64, 512],
-        &[8, 64, 256],
-        std::time::Duration::from_millis(200),
-    );
-    for row in &bench.rows {
-        println!(
-            "  n={:<4} ({:>4} facts): interpreted {:>10} — compiled {:>10} — {:.1}×",
-            row.n_blocks,
-            row.facts,
-            fmt_duration(std::time::Duration::from_nanos(
-                row.interpreted_guarded_ns as u64
-            )),
-            fmt_duration(std::time::Duration::from_nanos(
-                row.compiled_guarded_ns as u64
-            )),
-            row.speedup,
-        );
-    }
-    println!(
-        "  speedup at the largest size: {:.1}×",
-        bench.largest_size_speedup
-    );
+    let bench = cqa_bench::run_eval_bench(&[8, 64, 256], std::time::Duration::from_millis(200));
     println!("reduction pipeline: materializing plan vs compiled plan (nested Lemma 45)");
     for row in &bench.plan_rows {
         println!(

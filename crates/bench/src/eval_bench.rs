@@ -1,21 +1,6 @@
-//! The compiled-vs-interpreted evaluation benchmark behind
-//! `BENCH_eval.json`.
+//! The evaluation-core benchmark behind `BENCH_eval.json`.
 //!
-//! Workload: the guarded path of `benches/fo_vs_naive` — the flattened
-//! consistent rewriting of Example 13's `q1 = {N(x,u,y), O(y,w)}` with
-//! `FK = {N[3]→O}`, evaluated over instances with `n` two-fact blocks. The
-//! same closed formula is evaluated by
-//!
-//! * the interpretive reference evaluator ([`cqa_fo::interp`], the pre-PR
-//!   hot path: per-candidate valuation clones and re-materialized residual
-//!   conjunctions), and
-//! * the compiled evaluator ([`cqa_fo::CompiledFormula`], compiled once
-//!   outside the timing loop: slot bindings, pre-split guards, hash-indexed
-//!   candidates),
-//!
-//! both with the guarded strategy.
-//!
-//! A second workload measures the **reduction pipeline** end to end: the
+//! The first workload measures the **reduction pipeline** end to end: the
 //! depth-2 nested Lemma 45 problem
 //! `q = {N('c',y), M(y,w), Q(w), P(w), O(y)}`,
 //! `FK = {N[2]→O, M[2]→Q}`, whose interpretive evaluator
@@ -24,14 +9,14 @@
 //! [`cqa_core::CompiledPlan`] (compiled once outside the loop, zero
 //! intermediate instances).
 //!
-//! A third workload measures the **unified-solver routing overhead**:
+//! A second workload measures the **unified-solver routing overhead**:
 //! [`cqa_core::Solver::solve`] with sequential options vs calling the
 //! compiled plan directly on the same problem — both sides execute the
 //! identical single-threaded plan, so the delta is pure facade cost
 //! (route dispatch, verdict and provenance construction); the acceptance
 //! target is < 5% at the largest size.
 //!
-//! A fourth workload measures **delta-certainty**: the same nested problem
+//! A third workload measures **delta-certainty**: the same nested problem
 //! under a single-fact delta on the outer block (remove one `N('c',∗)`
 //! fact, reinsert it, alternating), answered by
 //! [`cqa_core::IncrementalSolver::reanswer`] — which re-reads cached
@@ -40,7 +25,7 @@
 //! sides pay the identical mutation, so the ratio is pure re-answering
 //! work; the acceptance target is ≥ 10× at the largest size.
 //!
-//! A fifth workload measures the **Yannakakis semijoin evaluator** on the
+//! A fourth workload measures the **Yannakakis semijoin evaluator** on the
 //! acyclic residual join `{A(x,u), B(y,u)}` — two relations joined on
 //! their *non-key* second position, with disjoint value sets so the query
 //! is unsatisfiable. The backtracking search degenerates to an O(n²)
@@ -50,7 +35,7 @@
 //! independent of `CQA_EVALUATOR`; the acceptance target is ≥ 3× at the
 //! largest size.
 //!
-//! A sixth workload measures **serve-mode plan-cache amortization**: the
+//! A fifth workload measures **serve-mode plan-cache amortization**: the
 //! same nested Lemma 45 problem answered (a) the per-request way — parse
 //! the schema/query/fks text, classify, compile, parse the database,
 //! solve, all inside the loop — and (b) through
@@ -59,7 +44,7 @@
 //! one cached compiled [`Solver`]. The ratio is the serve mode's reason to
 //! exist; the acceptance target is ≥ 10× for repeated cached requests.
 //!
-//! A seventh workload measures the **emitted-artifact execution cost**:
+//! A sixth workload measures the **emitted-artifact execution cost**:
 //! the nested Lemma 45 problem lowered by `cqa-emit` to a self-contained
 //! stratified Datalog program (emit + parse outside the loop), executed
 //! by the vendored semi-naïve evaluator, vs the same verdict from the
@@ -70,37 +55,19 @@
 //! a regression (or an accidental dependence of exec cost on route
 //! internals) shows up in the trajectory.
 //!
-//! `paper-eval` runs all seven after the E1–E16 table and snapshots the
+//! `paper-eval` runs all six after the E1–E16 table and snapshots the
 //! result to `BENCH_eval.json`, which CI uploads as an artifact — the
 //! perf-trajectory baseline for the evaluation core. The snapshot carries
 //! `threads_available`, the CPUs the process could use, so timings from
 //! different hosts are interpretable.
 
 use cqa_core::classify::Classification;
-use cqa_core::flatten::flatten;
 use cqa_core::{CompiledPlan, ExecOptions, Problem, RewritePlan, Solver};
-use cqa_fo::{interp, CompiledFormula, Formula, Strategy};
 use cqa_model::parser::{parse_fks, parse_query, parse_schema};
 use cqa_model::{CompiledQuery, Instance, JoinStrategy, Schema};
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// One measured size of the evaluation benchmark.
-#[derive(Clone, Debug, Serialize)]
-pub struct EvalBenchRow {
-    /// Number of two-fact `N`-blocks in the instance.
-    pub n_blocks: usize,
-    /// Total facts in the instance.
-    pub facts: usize,
-    /// Best per-evaluation time of the interpretive guarded evaluator.
-    pub interpreted_guarded_ns: u128,
-    /// Best per-evaluation time of the compiled guarded evaluator
-    /// (compiled once outside the loop).
-    pub compiled_guarded_ns: u128,
-    /// `interpreted / compiled`.
-    pub speedup: f64,
-}
 
 /// One measured size of the plan-level benchmark.
 #[derive(Clone, Debug, Serialize)]
@@ -209,12 +176,6 @@ pub struct ServeBenchRow {
 /// The full `BENCH_eval.json` payload.
 #[derive(Clone, Debug, Serialize)]
 pub struct EvalBench {
-    /// What was measured (formula-evaluation workload).
-    pub workload: String,
-    /// Per-size measurements of the formula evaluators.
-    pub rows: Vec<EvalBenchRow>,
-    /// The formula-level speedup at the largest measured size.
-    pub largest_size_speedup: f64,
     /// What was measured (plan-level workload).
     pub plan_workload: String,
     /// Per-size measurements of the reduction-pipeline executors.
@@ -272,18 +233,6 @@ impl EvalBench {
     }
 }
 
-fn chain_instance(s: &Arc<Schema>, n: usize) -> Instance {
-    let mut db = Instance::new(s.clone());
-    for i in 0..n {
-        db.insert_named("N", &[&format!("k{i}"), "u", &format!("y{i}")])
-            .unwrap();
-        db.insert_named("N", &[&format!("k{i}"), "v", &format!("z{i}")])
-            .unwrap();
-        db.insert_named("O", &[&format!("y{i}"), "w"]).unwrap();
-    }
-    db
-}
-
 /// Best-of-batches wall-clock measurement of `routine`, targeting roughly
 /// `budget` of total measurement time — the criterion shim's calibrated
 /// loop, so these numbers are comparable with the `ablations` bench rows.
@@ -291,18 +240,6 @@ fn measure(budget: Duration, mut routine: impl FnMut() -> bool) -> Duration {
     criterion::measure_best(budget, || {
         std::hint::black_box(routine());
     })
-}
-
-/// The flattened rewriting of Example 13's q1.
-fn q1_formula() -> (Arc<Schema>, Formula) {
-    let s = Arc::new(parse_schema("N[3,1] O[2,1]").unwrap());
-    let q = parse_query(&s, "N(x,u,y), O(y,w)").unwrap();
-    let fks = parse_fks(&s, "N[3] -> O").unwrap();
-    let plan = match Problem::new(q, fks).unwrap().classify() {
-        Classification::Fo(p) => p,
-        Classification::NotFo(r) => panic!("q1 must be in FO: {r}"),
-    };
-    (s, flatten(&plan).unwrap())
 }
 
 /// The nested-Lemma-45 plan workload: schema, query and keys (shared with
@@ -391,34 +328,9 @@ pub fn acyclic_join_instance(s: &Arc<Schema>, n: usize) -> Instance {
 /// ratio of two near-identical timings.
 const ROUTING_REPEATS: usize = 5;
 
-/// Runs the benchmark at the given sizes (ascending): `sizes` for the
-/// formula workload, `plan_sizes` for the plan workload. `budget` bounds
-/// the measurement time per engine per size.
-pub fn run_eval_bench(sizes: &[usize], plan_sizes: &[usize], budget: Duration) -> EvalBench {
-    let (s, formula) = q1_formula();
-    let compiled = CompiledFormula::compile(&formula, Strategy::Guarded);
-    let mut rows = Vec::new();
-    for &n in sizes {
-        let db = chain_instance(&s, n);
-        let expected = compiled.eval_closed(&db);
-        assert_eq!(
-            expected,
-            interp::eval_closed(&db, &formula),
-            "engines disagree at n={n}"
-        );
-        db.index(); // warm the index so both engines see a built cache
-        let interp_t = measure(budget, || interp::eval_closed(&db, &formula));
-        let compiled_t = measure(budget, || compiled.eval_closed(&db));
-        rows.push(EvalBenchRow {
-            n_blocks: n,
-            facts: db.len(),
-            interpreted_guarded_ns: interp_t.as_nanos(),
-            compiled_guarded_ns: compiled_t.as_nanos(),
-            speedup: interp_t.as_secs_f64() / compiled_t.as_secs_f64().max(f64::EPSILON),
-        });
-    }
-    let largest_size_speedup = rows.last().map(|r| r.speedup).unwrap_or(0.0);
-
+/// Runs the benchmark with the plan workload at `plan_sizes` (ascending).
+/// `budget` bounds the measurement time per engine per size.
+pub fn run_eval_bench(plan_sizes: &[usize], budget: Duration) -> EvalBench {
     let (ps, plan, cplan) = nested_l45_plan();
     let mut plan_rows = Vec::new();
     for &n in plan_sizes {
@@ -709,12 +621,6 @@ pub fn run_eval_bench(sizes: &[usize], plan_sizes: &[usize], budget: Duration) -
     let serve_cache_amortization = serve_rows.first().map(|r| r.amortization).unwrap_or(0.0);
 
     EvalBench {
-        workload: "flattened rewriting of Example 13 q1 (guarded strategy) over n two-fact \
-                   blocks: interpreted (cqa_fo::interp) vs compiled (CompiledFormula), \
-                   compile outside the loop"
-            .to_string(),
-        rows,
-        largest_size_speedup,
         plan_workload: "depth-2 nested Lemma 45 plan over an n-fact outer block (5n facts): \
                         materializing RewritePlan::answer vs view-backed CompiledPlan, \
                         compile outside the loop"
@@ -771,13 +677,10 @@ mod tests {
     #[test]
     fn eval_bench_smoke() {
         // Tiny sizes and budget: correctness of the harness, not timings.
-        let report = run_eval_bench(&[2, 4], &[2, 4], Duration::from_millis(5));
-        assert_eq!(report.rows.len(), 2);
-        assert!(report.rows.iter().all(|r| r.compiled_guarded_ns > 0));
+        let report = run_eval_bench(&[2, 4], Duration::from_millis(5));
         assert_eq!(report.plan_rows.len(), 2);
         assert!(report.plan_rows.iter().all(|r| r.compiled_ns > 0));
         assert!(report.threads_available >= 1);
-        assert!(report.to_json().contains("largest_size_speedup"));
         assert!(report.to_json().contains("plan_largest_size_speedup"));
         assert_eq!(report.solver_routing_rows.len(), 2);
         assert!(report.solver_routing_rows.iter().all(|r| r.solver_ns > 0));

@@ -12,7 +12,7 @@ pub mod eval_bench;
 
 pub use eval_bench::{
     acyclic_join_instance, nested_l45_instance, nested_l45_plan, nested_l45_problem,
-    run_eval_bench, AcyclicJoinRow, DeltaBenchRow, EvalBench, EvalBenchRow, PlanBenchRow,
+    run_eval_bench, AcyclicJoinRow, DeltaBenchRow, EvalBench, PlanBenchRow,
     ACYCLIC_JOIN_QUERY, ACYCLIC_JOIN_SCHEMA, ACYCLIC_JOIN_SIZES,
 };
 

@@ -13,23 +13,25 @@
 //! classification relative to the *ungrounded* query (Example 13: `q1` is
 //! FO while `q2`, its grounding of `u`, is NL-hard), all groundings of the
 //! same free variables share the constant-vs-variable structure the
-//! Theorem 12 analyses inspect. The fast path therefore freezes the free
-//! variables as distinct parameter constants, classifies that one problem,
-//! and compiles one binding-parameterized [`CompiledPlan`] reused across
-//! every candidate tuple; a non-FO verdict surfaces before any tuple is
-//! evaluated (reported with a representative candidate). When the frozen
-//! skeleton cannot be compiled, the per-tuple grounding loop remains as the
-//! fallback.
+//! Theorem 12 analyses inspect. [`certain_answers_with`] therefore freezes
+//! the distinct free variables as parameter constants, classifies that one
+//! problem, and compiles one binding-parameterized [`CompiledPlan`] reused
+//! across every candidate tuple; a non-FO verdict surfaces before any tuple
+//! is evaluated (reported with a representative candidate). A free variable
+//! listed twice is one parameter: every candidate carries the same value at
+//! both positions, so the plan is evaluated on the tuple's projection onto
+//! first occurrences and the full tuple is returned.
 //!
 //! The candidate-space choice is validated against the exhaustive oracle
-//! over the full `adom^k` tuple space in the integration tests.
+//! over the full `adom^k` tuple space in the integration tests, and the
+//! frozen plan against per-tuple grounding on colliding values.
 
 use crate::classify::{classify, Classification, NotFoReason};
-use crate::compiled_plan::CompiledPlan;
+use crate::compiled_plan::{CompileError, CompiledPlan};
 use crate::problem::Problem;
 use crate::solver::ExecOptions;
-use cqa_model::{all_valuations, Cst, FkSet, Instance, ModelError, Query, Term, Var};
-use std::collections::{BTreeMap, BTreeSet};
+use cqa_model::{all_valuations, Cst, FkSet, Instance, ModelError, Query, Var};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Why certain answers could not be computed.
@@ -37,9 +39,12 @@ use std::fmt;
 pub enum AnswerError {
     /// A free variable does not occur in the query.
     UnknownFreeVariable(Var),
-    /// Some grounding produced an invalid problem (should not happen for
-    /// valid inputs).
+    /// The query with its free variables frozen as parameters is not a
+    /// valid problem (should not happen for valid inputs).
     Model(ModelError),
+    /// The frozen problem's rewrite plan did not compile (should not
+    /// happen for valid inputs).
+    Compile(CompileError),
     /// Some grounding is not in FO (with the Theorem 12 reason and the
     /// offending tuple).
     NotFo(Vec<Cst>, NotFoReason),
@@ -52,6 +57,7 @@ impl fmt::Display for AnswerError {
                 write!(f, "free variable {v} does not occur in the query")
             }
             AnswerError::Model(e) => write!(f, "{e}"),
+            AnswerError::Compile(e) => write!(f, "{e}"),
             AnswerError::NotFo(tuple, reason) => write!(
                 f,
                 "grounding by {tuple:?} is not first-order rewritable: {reason}"
@@ -102,67 +108,51 @@ pub fn certain_answers_with(
         return Ok(BTreeSet::new());
     }
 
-    // Fast path: freeze the free variables as parameters, classify ONCE,
-    // compile one parameterized plan, and evaluate it per candidate tuple.
-    let distinct = free.iter().collect::<BTreeSet<_>>().len() == free.len();
-    if distinct {
-        let frozen = q.freeze(&free.iter().copied().collect());
-        if let Ok(problem) = Problem::new(frozen, fks.clone()) {
-            match classify(&problem) {
-                Classification::Fo(plan) => {
-                    if let Ok(compiled) = CompiledPlan::compile_parameterized(&plan, free) {
-                        // Shard the candidate tuples across threads: each
-                        // worker rebinds the parameter slots of the shared
-                        // plan over read-only views of `db`. The verdict
-                        // vector is joined in input order and the output
-                        // is a set, so the result is scheduling-invariant.
-                        let tuples: Vec<Vec<Cst>> = candidates.into_iter().collect();
-                        let verdicts: Vec<bool> = match options.batch_pool(tuples.len()) {
-                            Some(pool) => pool.map(&tuples, |t| compiled.answer_with(db, t)),
-                            None => tuples.iter().map(|t| compiled.answer_with(db, t)).collect(),
-                        };
-                        return Ok(tuples
-                            .into_iter()
-                            .zip(verdicts)
-                            .filter_map(|(t, ok)| ok.then_some(t))
-                            .collect());
-                    }
-                }
-                Classification::NotFo(reason) => {
-                    // Not FO for the frozen skeleton ⟹ not FO for the
-                    // groundings; surface it before evaluating any tuple,
-                    // with a representative candidate attached.
-                    let tuple = candidates.into_iter().next().expect("checked non-empty");
-                    return Err(AnswerError::NotFo(tuple, reason));
-                }
-            }
+    // The distinct free variables in first-occurrence order become the
+    // plan's parameters; `firsts` are their positions in a tuple.
+    let mut params: Vec<Var> = Vec::new();
+    let mut firsts: Vec<usize> = Vec::new();
+    for (i, v) in free.iter().enumerate() {
+        if !params.contains(v) {
+            params.push(*v);
+            firsts.push(i);
         }
     }
 
-    // Fallback: the per-tuple grounding loop (repeated free variables, or a
-    // frozen skeleton the pipeline cannot rebuild/compile).
-    let mut out = BTreeSet::new();
-    for tuple in candidates {
-        let subst: BTreeMap<Var, Term> = free
-            .iter()
-            .zip(tuple.iter())
-            .map(|(&v, &c)| (v, Term::Cst(c)))
-            .collect();
-        let grounded = q.substitute(&subst);
-        let problem =
-            Problem::new(grounded, fks.clone()).map_err(AnswerError::Model)?;
-        match classify(&problem) {
-            Classification::Fo(plan) => {
-                if plan.answer(db) {
-                    out.insert(tuple);
-                }
-            }
-            Classification::NotFo(reason) => {
-                return Err(AnswerError::NotFo(tuple, reason));
-            }
+    // Freeze the parameters, classify ONCE, compile one parameterized plan.
+    let frozen = q.freeze(&params.iter().copied().collect());
+    let problem = Problem::new(frozen, fks.clone()).map_err(AnswerError::Model)?;
+    let plan = match classify(&problem) {
+        Classification::Fo(plan) => plan,
+        Classification::NotFo(reason) => {
+            // Not FO for the frozen skeleton ⟹ not FO for the groundings;
+            // surface it before evaluating any tuple, with a representative
+            // candidate attached.
+            let tuple = candidates.into_iter().next().expect("checked non-empty");
+            return Err(AnswerError::NotFo(tuple, reason));
         }
-    }
-    Ok(out)
+    };
+    let compiled =
+        CompiledPlan::compile_parameterized(&plan, &params).map_err(AnswerError::Compile)?;
+
+    // Shard the candidate tuples across threads: each worker rebinds the
+    // parameter slots of the shared plan over read-only views of `db`. The
+    // verdict vector is joined in input order and the output is a set, so
+    // the result is scheduling-invariant.
+    let certain = |t: &Vec<Cst>| {
+        let args: Vec<Cst> = firsts.iter().map(|&i| t[i]).collect();
+        compiled.answer_with(db, &args)
+    };
+    let tuples: Vec<Vec<Cst>> = candidates.into_iter().collect();
+    let verdicts: Vec<bool> = match options.batch_pool(tuples.len()) {
+        Some(pool) => pool.map(&tuples, certain),
+        None => tuples.iter().map(certain).collect(),
+    };
+    Ok(tuples
+        .into_iter()
+        .zip(verdicts)
+        .filter_map(|(t, ok)| ok.then_some(t))
+        .collect())
 }
 
 #[cfg(test)]

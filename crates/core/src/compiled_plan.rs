@@ -47,7 +47,7 @@
 use crate::pipeline::{RewritePlan, StepAction, Tail};
 use crate::problem::Problem;
 use cqa_analyze::{AuditReport, L45Ir, OpIr, PatIr, PlanIr, QueryIr, ReadSet, TailIr};
-use cqa_fo::{CompiledFormula, Strategy};
+use cqa_fo::CompiledFormula;
 use cqa_model::{
     CompiledQuery, Cst, ForeignKey, Instance, InstanceView, JoinStrategy, ReadLog, RelName, Schema,
     Term, Var,
@@ -231,7 +231,7 @@ impl CompiledPlan {
                 // The compiled formula's free variables are exactly the
                 // unfrozen parameters (`kw_rewrite` unfreezes on exit); map
                 // each into the argument slice.
-                let formula = CompiledFormula::compile_with(formula, Strategy::Guarded, join);
+                let formula = CompiledFormula::compile_with(formula, join);
                 let mut free_map = Vec::new();
                 for v in formula.free_vars() {
                     let i = params.iter().position(|&p| p == v).ok_or_else(|| {

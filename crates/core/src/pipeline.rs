@@ -32,7 +32,6 @@ use crate::interference::{block_interference, InterferenceWitness};
 use crate::obedience::{nonkey_positions, qfk_atoms};
 use crate::problem::Problem;
 use cqa_attack::{kw_rewrite, AttackGraph};
-use cqa_fo::eval::Strategy;
 use cqa_fo::{CompiledFormula, Formula};
 use cqa_model::eval::{block_is_relevant, unify, Valuation};
 use cqa_model::{
@@ -161,7 +160,7 @@ pub enum Tail {
         query: Query,
         /// Its consistent FO rewriting.
         formula: Box<Formula>,
-        /// The rewriting compiled (guarded strategy) at plan-build time, so
+        /// The rewriting compiled (guard-directed) at plan-build time, so
         /// every [`RewritePlan::answer`] call skips straight to slot-based
         /// evaluation (boxed with the formula to keep the enum small).
         compiled: Box<CompiledFormula>,
@@ -330,7 +329,7 @@ impl RewritePlan {
                 let formula = kw_rewrite(&q).map_err(|e| {
                     BuildError::Internal(format!("Koutris–Wijsen base case failed: {e}"))
                 })?;
-                let compiled = CompiledFormula::compile(&formula, Strategy::Guarded);
+                let compiled = CompiledFormula::compile(&formula);
                 return Ok(RewritePlan {
                     problem: problem.clone(),
                     steps,

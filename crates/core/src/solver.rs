@@ -8,8 +8,8 @@
 //! **once** and compiles a [`Route`]:
 //!
 //! * [`Route::FoPlan`] — the consistent FO rewriting, executed through the
-//!   view-backed [`CompiledPlan`] (or the materializing interpreter when
-//!   [`ExecOptions::evaluator`] asks for it);
+//!   view-backed [`CompiledPlan`] (or, only for a plan that fails to
+//!   compile, the materializing [`RewritePlan::answer`]);
 //! * [`Route::PolyTime`] — a pre-bound dual-Horn / reachability
 //!   [`Backend`] for problems isomorphic (up to renaming) to the paper's
 //!   Proposition 16 or 17;
@@ -70,16 +70,19 @@ use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::time::Instant;
 
-/// Which FO evaluator the solver should execute.
+/// Which FO evaluator the solver executes. There is one: the view-backed
+/// [`CompiledPlan`], which falls back to [`RewritePlan::answer`] only for a
+/// plan that does not compile.
+///
+/// The type and [`ExecOptions::evaluator`] are kept only because the
+/// benchmark harness under `perfbench/` assigns the field and builds
+/// `cqa_serve::RawKey`s with it; both go once that harness stops naming
+/// them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Evaluator {
     /// The view-backed [`CompiledPlan`] (zero intermediate
-    /// materializations; the hot path). Falls back to the interpreter if
-    /// the plan does not compile.
+    /// materializations).
     Compiled,
-    /// The interpretive, materializing [`RewritePlan`] — the differential
-    /// oracle, occasionally useful for debugging.
-    Materialized,
 }
 
 /// Whether (and with how much budget) the hard class may fall back to the
@@ -96,9 +99,8 @@ pub enum FallbackBudget {
 }
 
 /// Typed execution options for the unified solver — one struct folding the
-/// batch width (the `CQA_THREADS` environment variable), the
-/// compiled-vs-materialized evaluator split, the join strategy and the
-/// oracle's search limits.
+/// batch width (the `CQA_THREADS` environment variable), the join strategy
+/// and the oracle's search limits.
 ///
 /// `CQA_THREADS` and `CQA_EVALUATOR` are consulted exactly **once**, in
 /// [`ExecOptions::default`]; every later use of the options reads the
@@ -125,7 +127,8 @@ pub struct ExecOptions {
     /// construction — never `0`. A single [`Solver::solve`] always runs on
     /// the calling thread.
     pub threads: usize,
-    /// Which FO evaluator to execute on [`Route::FoPlan`].
+    /// Which FO evaluator to execute on [`Route::FoPlan`]; always
+    /// [`Evaluator::Compiled`] (see [`Evaluator`]).
     pub evaluator: Evaluator,
     /// How the compiled FO evaluator executes acyclic residual
     /// conjunctions: Yannakakis semijoin passes, backtracking search, or a
@@ -244,7 +247,7 @@ impl FoRoute {
         &self.plan
     }
 
-    /// The compiled executor, when available under the chosen evaluator.
+    /// The compiled executor; `None` only when the plan failed to compile.
     pub fn compiled(&self) -> Option<&CompiledPlan> {
         self.compiled.as_ref()
     }
@@ -467,12 +470,7 @@ impl SolverBuilder {
     pub fn build(self) -> Result<Solver, SolverError> {
         let route = match classify(&self.problem) {
             Classification::Fo(plan) => {
-                let compiled = match self.options.evaluator {
-                    Evaluator::Compiled => {
-                        CompiledPlan::compile_with(&plan, self.options.join).ok()
-                    }
-                    Evaluator::Materialized => None,
-                };
+                let compiled = CompiledPlan::compile_with(&plan, self.options.join).ok();
                 let depth = plan.depth();
                 Route::FoPlan(Box::new(FoRoute {
                     plan: *plan,
@@ -626,10 +624,9 @@ impl Solver {
     /// per-request surface a long-lived service needs: one cached, shared
     /// solver (classification and plan compilation amortized across every
     /// request) while each request pins, on the fallback route, its own
-    /// oracle budget. The *compiled* choices — evaluator and join
-    /// strategy — are baked into the route at
-    /// [`SolverBuilder::build`] time and are **not** re-read from
-    /// `options`; a caller that needs a differently compiled route builds
+    /// oracle budget. The *compiled* choice — the join strategy — is
+    /// baked into the route at [`SolverBuilder::build`] time and is
+    /// **not** re-read from `options`; a caller that needs a differently compiled route builds
     /// (or cache-keys) a different solver.
     pub fn solve_with(&self, db: &Instance, options: &ExecOptions) -> Verdict {
         let start = Instant::now();
@@ -1205,22 +1202,6 @@ mod tests {
 
         let no = parse_instance(&s, "N(c,a) N(c,b) O(a) P(a)").unwrap();
         assert_eq!(solver.solve(&no).as_bool(), Some(false));
-    }
-
-    #[test]
-    fn materialized_evaluator_is_selectable() {
-        let s = Arc::new(parse_schema("N[2,1] O[1,1] P[1,1]").unwrap());
-        let solver = Solver::builder(problem(&s, "N('c',y), O(y), P(y)", "N[2] -> O"))
-            .options(ExecOptions {
-                evaluator: Evaluator::Materialized,
-                ..ExecOptions::sequential()
-            })
-            .build()
-            .unwrap();
-        let yes = parse_instance(&s, "N(c,a) O(a) P(a)").unwrap();
-        let v = solver.solve(&yes);
-        assert!(v.is_certain());
-        assert_eq!(v.provenance.backend, BackendKind::MaterializedPlan);
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub enum BackendKind {
     /// The view-backed [`crate::CompiledPlan`] (FO route, hot path).
     CompiledPlan,
     /// The interpretive, materializing [`crate::RewritePlan`] (FO route,
-    /// chosen explicitly or when plan compilation is unavailable).
+    /// only for a plan that fails to compile).
     MaterializedPlan,
     /// Dual-Horn SAT with unit propagation (Proposition 17 shape).
     DualHorn,

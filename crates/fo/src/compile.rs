@@ -1,7 +1,7 @@
 //! Compiling formulas for slot-based evaluation.
 //!
-//! [`CompiledFormula::compile`] performs, once per formula, all the work the
-//! interpretive evaluator ([`crate::interp`]) used to redo per candidate:
+//! [`CompiledFormula::compile`] performs, once per formula, the work a
+//! tree-walking evaluator would redo per candidate:
 //!
 //! * **slot numbering** — every variable occurrence is resolved to a dense
 //!   [`Binding`] slot. Quantifiers that rebind an outer variable get a
@@ -17,9 +17,10 @@
 //!   when the key prefix is ground, a borrowed row slice otherwise — no
 //!   `Vec<Fact>` is materialized and no row is cloned.
 //!
-//! The guard structure is strategy-specific, so a compiled formula fixes its
-//! [`Strategy`] at compile time; [`crate::eval::eval_with`] stays the
-//! convenience entry point that compiles and runs in one call.
+//! Compilation is always guard-directed; quantifiers with no usable guard
+//! compile to domain-iterating `Node::Exists`/`Node::Forall` nodes.
+//! [`crate::eval::eval_with`] stays the convenience entry point that
+//! compiles and runs in one call.
 //!
 //! **Parameter slots and views.** Evaluation is generic over a
 //! [`cqa_model::FactSource`], so one compiled tree runs against a full
@@ -34,12 +35,9 @@
 //! `adom(db) ∪ const(φ) ∪ const(θ↾free(φ))` where `θ` is the caller's
 //! binding of free variables. The last term is deliberate: a free variable
 //! may be bound to a constant that occurs in neither the database nor the
-//! formula, and quantifiers must still range over it (this fixes a
-//! soundness gap in the original interpreter, which dropped such
-//! constants).
+//! formula, and quantifiers must still range over it.
 
 use crate::ast::Formula;
-use crate::eval::Strategy;
 use cqa_model::binding::CompiledAtom;
 use cqa_model::instance::Candidates;
 use cqa_model::{
@@ -48,8 +46,7 @@ use cqa_model::{
 };
 use std::collections::BTreeSet;
 
-/// A compiled formula node. Guard-directed quantifier nodes only appear in
-/// trees compiled with [`Strategy::Guarded`].
+/// A compiled formula node.
 #[derive(Clone, Debug)]
 enum Node {
     True,
@@ -84,7 +81,7 @@ enum Node {
     ForallGuarded(CompiledAtom, Box<Node>),
 }
 
-/// A formula compiled for a fixed evaluation strategy.
+/// A formula compiled for guard-directed, slot-based evaluation.
 ///
 /// Compile once, evaluate many times: the compiled tree is immutable and
 /// shareable, and [`CompiledFormula::eval`] only allocates the quantifier
@@ -92,7 +89,6 @@ enum Node {
 #[derive(Clone, Debug)]
 pub struct CompiledFormula {
     root: Node,
-    strategy: Strategy,
     n_slots: usize,
     /// Free variables in canonical order, with their slots.
     free: Vec<(Var, Slot)>,
@@ -105,20 +101,17 @@ pub struct CompiledFormula {
 }
 
 impl CompiledFormula {
-    /// Compiles `f` for `strategy`, with the join strategy taken from the
-    /// process default ([`JoinStrategy::from_env`]).
-    pub fn compile(f: &Formula, strategy: Strategy) -> CompiledFormula {
-        CompiledFormula::compile_with(f, strategy, JoinStrategy::from_env())
+    /// Compiles `f` with the join strategy taken from the process default
+    /// ([`JoinStrategy::from_env`]).
+    pub fn compile(f: &Formula) -> CompiledFormula {
+        CompiledFormula::compile_with(f, JoinStrategy::from_env())
     }
 
-    /// Compiles `f` for `strategy` under an explicit [`JoinStrategy`].
-    /// Unless pinned to backtracking, existentials over acyclic positive
-    /// conjunctions compile to a semijoin-exists node (Yannakakis
-    /// execution); [`Strategy::Naive`] trees never do — they stay the pure
-    /// differential baseline.
-    pub fn compile_with(f: &Formula, strategy: Strategy, join: JoinStrategy) -> CompiledFormula {
+    /// Compiles `f` under an explicit [`JoinStrategy`]. Unless pinned to
+    /// backtracking, existentials over acyclic positive conjunctions
+    /// compile to a semijoin-exists node (Yannakakis execution).
+    pub fn compile_with(f: &Formula, join: JoinStrategy) -> CompiledFormula {
         let mut c = Compiler {
-            strategy,
             join,
             env: Vec::new(),
             n_slots: 0,
@@ -133,7 +126,6 @@ impl CompiledFormula {
         let uses_domain = uses_domain(&root);
         let compiled = CompiledFormula {
             root,
-            strategy,
             n_slots: c.n_slots,
             free,
             consts: f.consts().into_iter().collect(),
@@ -165,11 +157,6 @@ impl CompiledFormula {
     /// compile; callable explicitly for reports.
     pub fn audit(&self) -> cqa_analyze::AuditReport {
         cqa_analyze::audit_formula(&self.to_ir())
-    }
-
-    /// The strategy this formula was compiled for.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
     }
 
     /// Whether any node of the tree executes as a Yannakakis semijoin pass
@@ -257,7 +244,6 @@ impl CompiledFormula {
 // ---------------------------------------------------------------------------
 
 struct Compiler {
-    strategy: Strategy,
     join: JoinStrategy,
     /// Scope stack; lookups scan from the end so inner quantifiers shadow.
     env: Vec<(Var, Slot)>,
@@ -311,17 +297,9 @@ impl Compiler {
                 let scope = self.env.len();
                 let quant: Vec<(Var, Slot)> =
                     vs.iter().map(|&v| (v, self.push_var(v))).collect();
-                let node = match self.strategy {
-                    Strategy::Guarded => {
-                        let mut parts = Vec::new();
-                        flatten_and(g, &mut parts);
-                        self.guarded_exists(quant, parts)
-                    }
-                    Strategy::Naive => {
-                        let slots = quant.iter().map(|&(_, s)| s).collect();
-                        Node::Exists(slots, Box::new(self.go(g)))
-                    }
-                };
+                let mut parts = Vec::new();
+                flatten_and(g, &mut parts);
+                let node = self.guarded_exists(quant, parts);
                 self.env.truncate(scope);
                 node
             }
@@ -422,18 +400,15 @@ impl Compiler {
     }
 
     fn forall(&mut self, quant: Vec<(Var, Slot)>, g: &Formula) -> Node {
-        if self.strategy == Strategy::Guarded {
-            if let Formula::Implies(lhs, rhs) = g {
-                if let Formula::Atom(guard) = lhs.as_ref() {
-                    let guard_vars = guard.vars();
-                    let all_covered =
-                        quant.iter().all(|&(v, _)| guard_vars.contains(&v));
-                    if all_covered && !quant.is_empty() {
-                        // ∀⃗y (guard → rhs): values outside the guard hold
-                        // vacuously, so only matching rows matter.
-                        let catom = self.atom(guard);
-                        return Node::ForallGuarded(catom, Box::new(self.go(rhs)));
-                    }
+        if let Formula::Implies(lhs, rhs) = g {
+            if let Formula::Atom(guard) = lhs.as_ref() {
+                let guard_vars = guard.vars();
+                let all_covered = quant.iter().all(|&(v, _)| guard_vars.contains(&v));
+                if all_covered && !quant.is_empty() {
+                    // ∀⃗y (guard → rhs): values outside the guard hold
+                    // vacuously, so only matching rows matter.
+                    let catom = self.atom(guard);
+                    return Node::ForallGuarded(catom, Box::new(self.go(rhs)));
                 }
             }
         }
@@ -442,7 +417,6 @@ impl Compiler {
     }
 }
 
-/// Whether any node of the tree iterates the active domain.
 /// Mirrors the private [`Node`] tree into the analysis IR.
 fn node_ir(n: &Node) -> cqa_analyze::FNode {
     use cqa_analyze::FNode;
@@ -476,6 +450,7 @@ fn has_semijoin(node: &Node) -> bool {
     }
 }
 
+/// Whether any node of the tree iterates the active domain.
 fn uses_domain(node: &Node) -> bool {
     match node {
         Node::True | Node::False | Node::Atom(_) | Node::Eq(_, _) => false,
@@ -491,9 +466,8 @@ fn uses_domain(node: &Node) -> bool {
     }
 }
 
-/// Flattens nested conjunctions into a part list (the interpretive
-/// evaluator flattened one level per recursion step; flattening fully here
-/// only exposes more guard opportunities and cannot change semantics).
+/// Flattens nested conjunctions into a part list (flattening fully only
+/// exposes more guard opportunities and cannot change semantics).
 fn flatten_and<'f>(f: &'f Formula, out: &mut Vec<&'f Formula>) {
     match f {
         Formula::And(gs) => {

@@ -1,46 +1,26 @@
 //! Formula evaluation over database instances.
 //!
-//! Two strategies are provided:
-//!
-//! * [`Strategy::Naive`] — textbook active-domain semantics: every quantifier
-//!   ranges over `adom(db) ∪ const(φ) ∪ const(θ↾free(φ))`. Correct for any
-//!   formula, but each quantifier costs a full domain sweep.
-//! * [`Strategy::Guarded`] — exploits the guard structure of consistent
-//!   rewritings: `∃⃗x (R(…) ∧ ρ)` iterates only over matching `R`-facts
-//!   (using the primary-key block index when the key prefix is ground), and
-//!   `∀⃗y (R(…) → ρ)` iterates only over the facts of the guard. Variables
-//!   not covered by a guard fall back to the active domain, so the strategy
-//!   is correct for all formulas and *fast* for all formulas this workspace
-//!   generates.
-//!
-//! Both strategies agree on every formula (property-tested); the performance
-//! gap between them is one of the ablation benchmarks (`DESIGN.md` §3).
-//!
 //! The entry points below compile the formula
-//! ([`crate::compile::CompiledFormula`]) and evaluate the compiled form:
-//! variables become dense binding slots, guards are pre-split per
-//! quantifier, and candidate lookups go through the instance's hash
-//! indexes. Callers that evaluate one formula many times should compile
-//! once and reuse; the original tree-walking interpreter survives as
-//! [`crate::interp`] for differential testing and ablation baselines.
+//! ([`crate::compile::CompiledFormula`]) and evaluate the compiled form.
+//! Compilation is guard-directed: `∃⃗x (R(…) ∧ ρ)` iterates only over
+//! matching `R`-facts (a primary-key block probe when the key prefix is
+//! ground), and `∀⃗y (R(…) → ρ)` iterates only over the facts of the
+//! guard. Variables not covered by a guard fall back to the active domain
+//! `adom(db) ∪ const(φ) ∪ const(θ↾free(φ))`, so evaluation is correct for
+//! every formula and fast for the rewritings this workspace generates.
+//!
+//! Callers that evaluate one formula many times should compile once and
+//! reuse. The textbook interpreter [`crate::interp`] is the naive
+//! reference these entry points are differentially tested against.
 
 use crate::ast::Formula;
 use crate::compile::CompiledFormula;
 use cqa_model::{Instance, Valuation};
 
-/// Evaluation strategy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Strategy {
-    /// Active-domain semantics for every quantifier.
-    Naive,
-    /// Guard-directed evaluation with active-domain fallback.
-    Guarded,
-}
-
-/// Evaluates a closed formula over `db` with the guarded strategy.
+/// Evaluates a closed formula over `db`.
 pub fn eval_closed(db: &Instance, f: &Formula) -> bool {
     debug_assert!(f.is_closed(), "eval_closed requires a sentence: {f}");
-    CompiledFormula::compile(f, Strategy::Guarded).eval_closed(db)
+    CompiledFormula::compile(f).eval_closed(db)
 }
 
 /// Evaluates `f` under a binding of its free variables.
@@ -49,8 +29,8 @@ pub fn eval_closed(db: &Instance, f: &Formula) -> bool {
 /// binding assigns to a free variable of `f` — a constant outside the
 /// database's active domain is still *active* once a free variable is bound
 /// to it.
-pub fn eval_with(db: &Instance, f: &Formula, binding: &Valuation, strategy: Strategy) -> bool {
-    CompiledFormula::compile(f, strategy).eval(db, binding)
+pub fn eval_with(db: &Instance, f: &Formula, binding: &Valuation) -> bool {
+    CompiledFormula::compile(f).eval(db, binding)
 }
 
 #[cfg(test)]
@@ -74,17 +54,12 @@ mod tests {
         Formula::Atom(q.atoms()[0].clone())
     }
 
-    /// Evaluates with all four engines (compiled/interpreted × both
-    /// strategies) under a binding and asserts they agree.
+    /// Evaluates with the compiled evaluator and the naive interpreter
+    /// under a binding and asserts they agree.
     fn all_engines(db: &Instance, f: &Formula, b: &Valuation) -> bool {
-        let compiled_g = eval_with(db, f, b, Strategy::Guarded);
-        let compiled_n = eval_with(db, f, b, Strategy::Naive);
-        let interp_g = interp::eval_with(db, f, b, Strategy::Guarded);
-        let interp_n = interp::eval_with(db, f, b, Strategy::Naive);
-        assert_eq!(compiled_g, compiled_n, "strategies disagree on {f}");
-        assert_eq!(compiled_g, interp_g, "compiled vs interp (guarded) on {f}");
-        assert_eq!(compiled_n, interp_n, "compiled vs interp (naive) on {f}");
-        compiled_g
+        let compiled = eval_with(db, f, b);
+        assert_eq!(compiled, interp::eval_with(db, f, b), "compiled vs interp on {f}");
+        compiled
     }
 
     fn both(db: &Instance, f: &Formula) -> bool {
@@ -197,8 +172,8 @@ mod tests {
     #[test]
     fn quantifier_shadowing() {
         // Regression (found by proptest): ∃x (¬S(x) ∧ ∃x S(x)) — the inner
-        // quantifier must shadow the outer binding of x, in the guarded
-        // strategy too.
+        // quantifier must shadow the outer binding of x, in the
+        // guard-directed compile too.
         let s = Arc::new(parse_schema("R[2,1] S[1,1]").unwrap());
         let d = parse_instance(&s, "R(a,b) S(a)").unwrap();
         let sx = Formula::Atom(Atom::new(RelName::new("S"), vec![Term::var("x")]));
@@ -219,9 +194,9 @@ mod tests {
         let mut b = Valuation::new();
         b.insert(Var::new("x"), Cst::new("a"));
         b.insert(Var::new("y"), Cst::new("b"));
-        assert!(eval_with(&db(), &f, &b, Strategy::Guarded));
+        assert!(eval_with(&db(), &f, &b));
         b.insert(Var::new("y"), Cst::new("zzz"));
-        assert!(!eval_with(&db(), &f, &b, Strategy::Guarded));
+        assert!(!eval_with(&db(), &f, &b));
     }
 
     #[test]
@@ -231,7 +206,7 @@ mod tests {
         // database nor the formula, ∃y (y = x) must hold — the quantifier
         // domain includes the constants of the incoming binding. Before
         // the fix the domain was adom(db) ∪ const(φ) only, so *both*
-        // strategies returned false here.
+        // evaluators returned false here.
         let s = schema();
         let d = db();
         let f = Formula::exists(
@@ -338,7 +313,7 @@ mod tests {
         let s = schema();
         let r = fatom(&s, "R(x,y)");
         let f = Formula::exists([Var::new("x"), Var::new("y")], r);
-        let compiled = CompiledFormula::compile(&f, Strategy::Guarded);
+        let compiled = CompiledFormula::compile(&f);
         assert!(compiled.eval_closed(&db()));
         let empty = Instance::new(s);
         assert!(!compiled.eval_closed(&empty));

@@ -1,43 +1,28 @@
-//! The interpretive (pre-compilation) formula evaluator, kept as a
-//! reference implementation.
+//! The textbook formula interpreter: the naive active-domain reference
+//! semantics the compiled evaluator is checked against.
 //!
-//! This is the original tree-walking evaluator: every quantifier re-walks
-//! the AST, guard candidates clone `BTreeMap` valuations and re-materialize
-//! the residual conjunction per fact, and candidate facts are collected into
-//! `Vec<Fact>`. It is retained — unchanged in algorithm — for two reasons:
+//! This is a plain tree walk. Every quantifier ranges over the whole
+//! quantifier domain, one variable at a time, and every step works on a
+//! cloned `BTreeMap` valuation. No guard is split, no index is probed and
+//! nothing is compiled, so the interpreter shares no code path with
+//! [`crate::compile::CompiledFormula`] beyond the AST. That independence is
+//! its only job: the property suites and the unit tests of
+//! [`crate::eval`] check the compiled, guard-directed evaluator against it
+//! on arbitrary formulas and bindings. It is never used to answer a query.
 //!
-//! * **differential testing**: the property suites check the compiled
-//!   evaluator ([`crate::compile::CompiledFormula`]) against this
-//!   interpreter on arbitrary formulas, strategies and bindings;
-//! * **ablation benchmarking**: `benches/ablations.rs` and `paper-eval`'s
-//!   `BENCH_eval.json` measure the compiled-vs-interpreted speedup against
-//!   this baseline.
-//!
-//! The only semantic change from its pre-compilation form is the
-//! active-domain soundness fix shared with the compiled path: the
-//! quantifier domain is `adom(db) ∪ const(φ) ∪ const(θ↾free(φ))`, i.e.
-//! constants bound to free variables by the caller count as active.
+//! The quantifier domain is `adom(db) ∪ const(φ) ∪ const(θ↾free(φ))`, i.e.
+//! constants bound to free variables by the caller count as active — the
+//! same rule as the compiled path.
 
 use crate::ast::Formula;
-use crate::eval::Strategy;
-use cqa_model::eval::unify;
 use cqa_model::{Cst, Instance, Term, Valuation, Var};
 
-/// Evaluates a closed formula over `db` with the guarded strategy
-/// (interpretive reference implementation).
-pub fn eval_closed(db: &Instance, f: &Formula) -> bool {
-    debug_assert!(f.is_closed(), "eval_closed requires a sentence: {f}");
-    eval_with(db, f, &Valuation::new(), Strategy::Guarded)
-}
-
-/// Evaluates `f` under a binding of its free variables (interpretive
-/// reference implementation).
-pub fn eval_with(db: &Instance, f: &Formula, binding: &Valuation, strategy: Strategy) -> bool {
+/// Evaluates `f` under a binding of its free variables with naive
+/// active-domain semantics.
+pub fn eval_with(db: &Instance, f: &Formula, binding: &Valuation) -> bool {
     let domain: Vec<Cst> = {
         let mut d = db.adom().clone();
         d.extend(f.consts());
-        // Soundness fix (shared with the compiled path): constants the
-        // caller bound to free variables are active too.
         for v in f.free_vars() {
             if let Some(&c) = binding.get(&v) {
                 d.insert(c);
@@ -46,18 +31,12 @@ pub fn eval_with(db: &Instance, f: &Formula, binding: &Valuation, strategy: Stra
         d.into_iter().collect()
     };
     let mut binding = binding.clone();
-    Evaluator {
-        db,
-        domain,
-        strategy,
-    }
-    .eval(f, &mut binding)
+    Evaluator { db, domain }.eval(f, &mut binding)
 }
 
 struct Evaluator<'a> {
     db: &'a Instance,
     domain: Vec<Cst>,
-    strategy: Strategy,
 }
 
 impl Evaluator<'_> {
@@ -108,145 +87,29 @@ impl Evaluator<'_> {
         }
     }
 
-    /// Finds a positive atom conjunct of `g` usable as a guard for the
-    /// quantified variables `vs`: returns `(guard, rest)`.
-    fn split_guard<'f>(
-        &self,
-        vs: &[Var],
-        g: &'f Formula,
-    ) -> Option<(&'f cqa_model::Atom, Vec<&'f Formula>)> {
-        let parts: Vec<&Formula> = match g {
-            Formula::And(gs) => gs.iter().collect(),
-            other => vec![other],
-        };
-        let idx = parts.iter().position(|p| match p {
-            Formula::Atom(a) => a.vars().iter().any(|v| vs.contains(v)),
-            _ => false,
-        })?;
-        let Formula::Atom(a) = parts[idx] else {
-            unreachable!("position found an Atom");
-        };
-        let rest = parts
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != idx)
-            .map(|(_, p)| *p)
-            .collect();
-        Some((a, rest))
-    }
-
+    /// `∃vs g`: one active-domain sweep per variable.
     fn eval_exists(&self, vs: &[Var], g: &Formula, binding: &mut Valuation) -> bool {
-        if self.strategy == Strategy::Guarded {
-            if let Some((guard, rest)) = self.split_guard(vs, g) {
-                // ∃vs (guard ∧ rest): iterate over facts matching the guard.
-                let remaining: Vec<Var> = vs
-                    .iter()
-                    .copied()
-                    .filter(|v| !guard.vars().contains(v))
-                    .collect();
-                for fact in self.candidates(guard, binding) {
-                    if let Some(mut next) = unify(guard, &fact, binding) {
-                        let rest_formula = Formula::and(rest.iter().map(|p| (*p).clone()));
-                        if self.eval_exists(&remaining, &rest_formula, &mut next) {
-                            return true;
-                        }
-                    }
-                }
-                return false;
-            }
-        }
-        // Active-domain fallback, one variable at a time.
         match vs.split_first() {
             None => self.eval(g, binding),
-            Some((&v, rest)) => {
-                for &c in &self.domain {
-                    let prev = binding.insert(v, c);
-                    let ok = self.eval_exists(rest, g, binding);
-                    match prev {
-                        Some(p) => {
-                            binding.insert(v, p);
-                        }
-                        None => {
-                            binding.remove(&v);
-                        }
-                    }
-                    if ok {
-                        return true;
-                    }
-                }
-                false
-            }
+            Some((&v, rest)) => self.domain.iter().any(|&c| {
+                binding.insert(v, c);
+                let ok = self.eval_exists(rest, g, binding);
+                binding.remove(&v);
+                ok
+            }),
         }
     }
 
+    /// `∀vs g`: one active-domain sweep per variable.
     fn eval_forall(&self, vs: &[Var], g: &Formula, binding: &mut Valuation) -> bool {
-        if self.strategy == Strategy::Guarded {
-            if let Formula::Implies(lhs, rhs) = g {
-                if let Formula::Atom(guard) = lhs.as_ref() {
-                    let covered: Vec<Var> = vs
-                        .iter()
-                        .copied()
-                        .filter(|v| guard.vars().contains(v))
-                        .collect();
-                    let uncovered: Vec<Var> = vs
-                        .iter()
-                        .copied()
-                        .filter(|v| !guard.vars().contains(v))
-                        .collect();
-                    if uncovered.is_empty() && !covered.is_empty() {
-                        // ∀vs (guard → rhs): values outside the guard hold
-                        // vacuously, so only matching facts matter.
-                        for fact in self.candidates(guard, binding) {
-                            if let Some(mut next) = unify(guard, &fact, binding) {
-                                if !self.eval(rhs, &mut next) {
-                                    return false;
-                                }
-                            }
-                        }
-                        return true;
-                    }
-                }
-            }
-        }
         match vs.split_first() {
             None => self.eval(g, binding),
-            Some((&v, rest)) => {
-                for &c in &self.domain {
-                    let prev = binding.insert(v, c);
-                    let ok = self.eval_forall(rest, g, binding);
-                    match prev {
-                        Some(p) => {
-                            binding.insert(v, p);
-                        }
-                        None => {
-                            binding.remove(&v);
-                        }
-                    }
-                    if !ok {
-                        return false;
-                    }
-                }
-                true
-            }
+            Some((&v, rest)) => self.domain.iter().all(|&c| {
+                binding.insert(v, c);
+                let ok = self.eval_forall(rest, g, binding);
+                binding.remove(&v);
+                ok
+            }),
         }
-    }
-
-    /// Candidate facts for a guard atom: the block when the key prefix is
-    /// ground under `binding`, otherwise a relation scan.
-    fn candidates(&self, atom: &cqa_model::Atom, binding: &Valuation) -> Vec<cqa_model::Fact> {
-        let Some(sig) = self.db.schema().signature(atom.rel) else {
-            return Vec::new();
-        };
-        if sig.arity != atom.arity() {
-            return Vec::new();
-        }
-        let mut key: Vec<Cst> = Vec::with_capacity(sig.key_len);
-        for t in atom.key_terms(sig) {
-            match self.resolve(*t, binding) {
-                Some(c) => key.push(c),
-                None => return self.db.facts_of(atom.rel).collect(),
-            }
-        }
-        self.db.block(atom.rel, &key)
     }
 }

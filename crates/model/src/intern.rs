@@ -84,7 +84,10 @@ impl Ord for Sym {
         if self.0 == other.0 {
             return Ordering::Equal;
         }
-        self.resolve().cmp(&other.resolve())
+        // One read guard, no refcount traffic: comparisons run in every
+        // BTree operation, on every thread at once.
+        let guard = interner().read();
+        guard.strings[self.0 as usize].cmp(&guard.strings[other.0 as usize])
     }
 }
 

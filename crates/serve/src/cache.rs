@@ -11,8 +11,8 @@
 //! the parsed values back through their `Display` impls, which are
 //! interner-backed and sorted — so `" N[3,1]  O[1,1] "` and `"O[1,1]
 //! N[3,1]"` hit the same entry. The key also folds in the **compiled**
-//! execution choices (evaluator, join strategy) because those are baked
-//! into the route at [`Solver`] build time and cannot be honored
+//! execution choice (the join strategy) because it is baked into the
+//! route at [`Solver`] build time and cannot be honored
 //! per-request on a shared solver (see `Solver::solve_with`): a client
 //! pinning `--evaluator semijoin` gets a plan compiled for semijoin, never
 //! a silently different cached one.
@@ -43,7 +43,7 @@ pub struct CachedPlan {
 }
 
 /// The raw (pre-canonicalization) identity of a request's plan: exact
-/// texts plus the compiled execution choices.
+/// texts plus the compiled execution choice.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct RawKey {
     /// Schema text exactly as received.
@@ -52,7 +52,8 @@ pub struct RawKey {
     pub query: String,
     /// FK text exactly as received.
     pub fks: String,
-    /// Which FO evaluator the plan is compiled for.
+    /// Always [`Evaluator::Compiled`]; kept for the benchmark harness (see
+    /// [`Evaluator`]).
     pub evaluator: Evaluator,
     /// Which join strategy the plan is compiled with.
     pub join: JoinStrategy,
@@ -60,10 +61,7 @@ pub struct RawKey {
 
 impl RawKey {
     fn canonical(&self, schema: &Schema, problem: &Problem) -> String {
-        format!(
-            "{schema} | {problem} | {:?} | {}",
-            self.evaluator, self.join
-        )
+        format!("{schema} | {problem} | {}", self.join)
     }
 }
 
@@ -103,7 +101,7 @@ struct Inner {
 }
 
 /// Bounded LRU cache of compiled plans keyed by canonicalized
-/// `(schema, query, fks, evaluator, join)`.
+/// `(schema, query, fks, join)`.
 pub struct PlanCache {
     capacity: usize,
     inner: Mutex<Inner>,
@@ -148,7 +146,7 @@ impl PlanCache {
     /// "exactly one miss" serve test rely on.
     ///
     /// `build_options` supplies the non-key execution defaults the solver
-    /// is built with; its `evaluator`/`join` are overridden by the key's.
+    /// is built with; its `join` is overridden by the key's.
     /// Hard-class problems are always compiled with a fallback route (the
     /// default oracle limits if `build_options` denies fallback) — whether
     /// a given request may actually spend that budget is the admission
@@ -186,7 +184,6 @@ impl PlanCache {
         }
 
         let mut options = *build_options;
-        options.evaluator = key.evaluator;
         options = options.with_join(key.join);
         if options.fallback == FallbackBudget::Deny {
             options = options.allow_fallback();

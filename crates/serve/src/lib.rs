@@ -12,7 +12,7 @@
 //! Three pieces, one per module:
 //!
 //! * [`cache`] — the bounded LRU [`PlanCache`], keyed by canonicalized
-//!   `(schema, query, fks, evaluator, join)`, holding `Arc<Solver>`s
+//!   `(schema, query, fks, join)`, holding `Arc<Solver>`s
 //!   (`Solver: Send + Sync`, pinned by a compile-time assertion in
 //!   `cqa-core`) so concurrent connections share one compiled route;
 //! * [`service`] — the transport-free request handler: per-request

@@ -7,7 +7,7 @@
 //! | op | fields | reply |
 //! |----|--------|-------|
 //! | `ping` | — | `{"ok":true,"pong":true}` |
-//! | `solve` | `schema`, `query`, `db` (required); `fks`, `evaluator`, `materialized`, `budget` (optional) | verdict + provenance (below) |
+//! | `solve` | `schema`, `query`, `db` (required); `fks`, `evaluator`, `budget` (optional) | verdict + provenance (below) |
 //! | `emit` | `schema`, `query`, `db` (required); `fks`, `format` (`"datalog"` \| `"sql"`, default `"datalog"`) (optional) | `{"ok":true,"format":…,"route":…,"goal":…,"artifact":…}` — the self-contained artifact text (see `cqa-emit`); reuses the same plan cache as `solve` |
 //! | `metrics` | — | `{"ok":true,"metrics":{…}}` (see [`crate::MetricsRegistry::snapshot`]) |
 //! | `shutdown` | — | `{"ok":true,"shutdown":true}`; the accept loop then drains and exits |
@@ -18,7 +18,7 @@
 //!
 //! ```json
 //! {"ok":true,"certainty":"certain","backend":"compiled plan",
-//!  "cache":"hit","evaluator":"compiled","join":"semijoin",
+//!  "cache":"hit","join":"semijoin",
 //!  "elapsed_us":42}
 //! ```
 //!
@@ -30,8 +30,8 @@
 //!
 //! Each request resolves its own [`ExecOptions`] from the server defaults
 //! plus its optional fields — after startup the serve loop never consults
-//! the process environment again. The **compiled** choices (`evaluator`,
-//! `materialized`) are part of the plan-cache key, so a client pinning an
+//! the process environment again. The **compiled** choice (`evaluator`,
+//! the join strategy) is part of the plan-cache key, so a client pinning an
 //! evaluator can never be handed a plan compiled for a different one; the
 //! **runtime** choice (`budget`) is passed to
 //! [`cqa_core::Solver::solve_with`] per call on the shared cached solver.
@@ -46,7 +46,7 @@
 
 use crate::cache::{Lookup, PlanCache, RawKey};
 use crate::metrics::MetricsRegistry;
-use cqa_core::solver::{Evaluator, ExecOptions, FallbackBudget, Route};
+use cqa_core::solver::{ExecOptions, FallbackBudget, Route};
 use cqa_core::Certainty;
 use cqa_emit::{Format, SolverEmitExt};
 use cqa_model::parser::parse_instance;
@@ -212,14 +212,6 @@ impl Service {
                 .map_err(SolveRefusal::Error)?;
             options = options.with_join(join);
         }
-        if let Some(m) = request.get("materialized") {
-            let m = m
-                .as_bool()
-                .ok_or_else(|| SolveRefusal::Error("materialized must be a boolean".to_string()))?;
-            if m {
-                options.evaluator = Evaluator::Materialized;
-            }
-        }
         if let Some(b) = request.get("budget") {
             let b = b
                 .as_u64()
@@ -285,16 +277,6 @@ impl Service {
             ),
             ("backend", Value::String(backend)),
             ("cache", Value::String(lookup.label().to_string())),
-            (
-                "evaluator",
-                Value::String(
-                    match plan.solver.options().evaluator {
-                        Evaluator::Compiled => "compiled",
-                        Evaluator::Materialized => "materialized",
-                    }
-                    .to_string(),
-                ),
-            ),
             (
                 "join",
                 Value::String(plan.solver.options().join.to_string()),
@@ -494,14 +476,6 @@ mod tests {
         // Different compiled choice ⇒ different cache entry, same verdict.
         assert_eq!(pinned.get("cache").and_then(Value::as_str), Some("miss"));
         assert_eq!(pinned.get("certainty").and_then(Value::as_str), Some("certain"));
-        // And a materialized request gets the interpretive evaluator.
-        let mat = serde_json::from_str(&s.handle_line(&solve_line(
-            "N(c,a) O(a) P(a)",
-            r#","materialized":true"#,
-        )))
-        .unwrap();
-        assert_eq!(mat.get("evaluator").and_then(Value::as_str), Some("materialized"));
-        assert_eq!(mat.get("backend").and_then(Value::as_str), Some("materialized plan"));
     }
 
     #[test]

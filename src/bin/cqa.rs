@@ -6,7 +6,6 @@
 //! cqa rewrite  --schema … --query … --fks …            # print plan + formula
 //! cqa sql      --schema … --query … --fks …            # rewriting as SQL
 //! cqa solve    --schema … --query … --fks … --db db.txt  # unified solver (any class)
-//! cqa answer   --schema … --query … --fks … --db db.txt  # FO-only legacy path
 //! cqa oracle   --schema … --query … --fks … --db db.txt  # exhaustive check
 //! cqa emit     --schema … --query … --fks … --db db.txt  # self-contained Datalog/SQL artifact
 //! cqa analyze  --schema … --query … [--fks …]            # static IR audit + read-set
@@ -28,16 +27,15 @@
 //! `--schema`/`--query`/`--fks` flags; a `db:` line in the file supplies
 //! an inline database (`--db` overrides it).
 //!
-//! `sql` renders the FO route's flattened rewriting as SQL; like `answer`,
-//! it exits 4 on a valid problem with no FO route.
+//! `sql` renders the FO route's flattened rewriting as SQL; it exits 4 on a
+//! valid problem with no FO route.
 //!
 //! `solve` routes the problem to its best backend (compiled FO plan,
 //! dual-Horn / reachability poly-time solver, or — with
 //! `--fallback-budget N` — the budgeted exhaustive oracle) and prints the
-//! verdict with provenance. `--materialized` forces the
-//! interpretive FO evaluator; `--evaluator auto|backtracking|semijoin`
-//! pins how acyclic residual conjunctions execute (otherwise
-//! `CQA_EVALUATOR`, resolved once).
+//! verdict with provenance. `--evaluator auto|backtracking|semijoin` pins
+//! how acyclic residual conjunctions execute (otherwise `CQA_EVALUATOR`,
+//! resolved once).
 //!
 //! `serve` runs the persistent solver service (`cqa_serve`): a
 //! line-delimited JSON protocol on `--socket PATH` (Unix domain) or
@@ -62,7 +60,7 @@
 //! | 1 | no / not certain (`classify`: not in FO) |
 //! | 2 | usage or input error (including `serve` env-validation refusal) |
 //! | 3 | inconclusive (fallback budget exhausted) or request rejected by admission control |
-//! | 4 | `answer`, `sql`: the problem is **not FO-rewritable** — the query/FK pair is the wrong shape for `answer` or `sql`, use `solve`. `emit`: the problem routes only to the budgeted oracle, so **no polynomial-size artifact exists**. Distinct from 1 so scripts can tell "the answer is no" from "wrong tool / no artifact". |
+//! | 4 | `sql`: the problem is **not FO-rewritable** — the query/FK pair has no SQL rewriting, use `solve`. `emit`: the problem routes only to the budgeted oracle, so **no polynomial-size artifact exists**. Distinct from 1 so scripts can tell "the answer is no" from "wrong tool / no artifact". |
 
 use cqa::prelude::*;
 use std::process::ExitCode;
@@ -72,7 +70,7 @@ struct Args {
     command: String,
     schema: Option<String>,
     query: Option<String>,
-    fks: String,
+    fks: Option<String>,
     db: Option<String>,
     problem_file: Option<String>,
     fixture: Option<String>,
@@ -82,7 +80,6 @@ struct Args {
     execute: bool,
     fallback_budget: Option<u64>,
     evaluator: Option<JoinStrategy>,
-    materialized: bool,
     // serve / request flags
     socket: Option<String>,
     tcp: Option<String>,
@@ -101,7 +98,7 @@ fn parse_args() -> Result<Args, String> {
         command,
         schema: None,
         query: None,
-        fks: String::new(),
+        fks: None,
         db: None,
         problem_file: None,
         fixture: None,
@@ -111,7 +108,6 @@ fn parse_args() -> Result<Args, String> {
         execute: false,
         fallback_budget: None,
         evaluator: None,
-        materialized: false,
         socket: None,
         tcp: None,
         cache: None,
@@ -122,10 +118,6 @@ fn parse_args() -> Result<Args, String> {
         line: None,
     };
     while let Some(flag) = argv.next() {
-        if flag == "--materialized" {
-            args.materialized = true;
-            continue;
-        }
         if flag == "--execute" {
             args.execute = true;
             continue;
@@ -136,7 +128,7 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--schema" => args.schema = Some(value),
             "--query" => args.query = Some(value),
-            "--fks" => args.fks = value,
+            "--fks" => args.fks = Some(value),
             "--db" => args.db = Some(value),
             "--problem" => args.problem_file = Some(value),
             "--fixture" => args.fixture = Some(value),
@@ -169,11 +161,10 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: cqa <classify|rewrite|sql|solve|answer|oracle|emit|analyze|serve|request> \
+    "usage: cqa <classify|rewrite|sql|solve|oracle|emit|analyze|serve|request> \
      --schema \"R[2,1] …\" --query \"R(x,y), …\" [--fks \"R[2] -> S, …\"] [--db facts.txt] \
      [--problem file.problem] [--fixture NAME|list] [--datalog artifact.dl] \
-     [--fallback-budget N] [--evaluator auto|backtracking|semijoin] \
-     [--materialized]\n\
+     [--fallback-budget N] [--evaluator auto|backtracking|semijoin]\n\
      emit:    --format datalog|sql  [--out PATH] [--execute]  \
      (self-contained artifact; exit 4 when only the oracle route exists)\n\
      serve:   --socket PATH | --tcp ADDR  [--cache N] [--max-facts N] [--metrics-out PATH] \
@@ -181,7 +172,7 @@ fn usage() -> String {
      request: --socket PATH | --tcp ADDR  [--op ping|solve|emit|metrics|shutdown] [--db-text \"R(a,1) …\"] \
      [--line '{\"op\":…}']\n\
      exit codes: 0 yes/certain · 1 no/not-certain · 2 usage or input error · \
-     3 inconclusive or rejected · 4 not-FO (answer, sql) / no artifact (emit)"
+     3 inconclusive or rejected · 4 not-FO (sql) / no artifact (emit)"
         .to_string()
 }
 
@@ -193,9 +184,9 @@ enum Outcome {
     No,
     /// Budget exhausted or request rejected by admission control — exit 3.
     Inconclusive,
-    /// `cqa answer` / `cqa sql`: the problem is not FO-rewritable, so the
-    /// command is the wrong tool (use `cqa solve`) — exit 4, distinct from
-    /// the "certain no" exit 1. Also `cqa emit` when no artifact exists.
+    /// `cqa sql`: the problem is not FO-rewritable, so the command is the
+    /// wrong tool (use `cqa solve`) — exit 4, distinct from the "certain
+    /// no" exit 1. Also `cqa emit` when no artifact exists.
     NotFo,
 }
 
@@ -298,8 +289,9 @@ fn parse_problem_file(text: &str) -> Result<(String, String, String, Option<Stri
 }
 
 /// Resolves the problem text from `--problem` and/or the explicit flags
-/// (explicit flags win over file fields). The fourth component is the
-/// file's inline `db:` facts, if any.
+/// (explicit flags win over file fields, so `--fks ""` clears a file's
+/// `fks:` line). The fourth component is the file's inline `db:` facts, if
+/// any.
 fn problem_inputs(args: &Args) -> Result<(String, String, String, Option<String>), String> {
     let file = match &args.problem_file {
         Some(path) => {
@@ -315,11 +307,7 @@ fn problem_inputs(args: &Args) -> Result<(String, String, String, Option<String>
     Ok((
         args.schema.clone().or(f_schema).ok_or("missing --schema")?,
         args.query.clone().or(f_query).ok_or("missing --query")?,
-        if args.fks.is_empty() {
-            f_fks.unwrap_or_default()
-        } else {
-            args.fks.clone()
-        },
+        args.fks.clone().or(f_fks).unwrap_or_default(),
         f_db,
     ))
 }
@@ -340,9 +328,6 @@ fn run_serve(args: &Args) -> Result<Outcome, String> {
     let mut defaults = ExecOptions::default();
     if let Some(join) = args.evaluator.or(env_join) {
         defaults = defaults.with_join(join);
-    }
-    if args.materialized {
-        defaults.evaluator = Evaluator::Materialized;
     }
     if let Some(budget) = args.fallback_budget {
         defaults = defaults.with_fallback(SearchLimits::budgeted(budget));
@@ -401,13 +386,13 @@ fn run_request(args: &Args) -> Result<Outcome, String> {
                     "query".to_string(),
                     Value::String(args.query.clone().ok_or("missing --query")?),
                 );
-                fields.insert("fks".to_string(), Value::String(args.fks.clone()));
+                fields.insert(
+                    "fks".to_string(),
+                    Value::String(args.fks.clone().unwrap_or_default()),
+                );
                 fields.insert("db".to_string(), Value::String(db_text));
                 if let Some(join) = args.evaluator {
                     fields.insert("evaluator".to_string(), Value::String(join.to_string()));
-                }
-                if args.materialized {
-                    fields.insert("materialized".to_string(), Value::Bool(true));
                 }
                 if let Some(b) = args.fallback_budget {
                     fields.insert("budget".to_string(), Value::Number(b as f64));
@@ -436,8 +421,7 @@ fn run_request(args: &Args) -> Result<Outcome, String> {
     }
 }
 
-/// The solver for a command that only works on the FO route (`answer`,
-/// `sql`). `None` means the problem is valid but not FO-rewritable: the
+/// The solver for `cqa sql`, which only works on the FO route. `None` means the problem is valid but not FO-rewritable: the
 /// reason goes to stderr and the caller exits 4 — NOT 1 (a certain "no")
 /// and NOT 2 (a malformed invocation), so scripts can tell "wrong tool"
 /// apart from both.
@@ -483,8 +467,6 @@ fn run() -> Result<Outcome, String> {
         parse_instance(&schema, &text).map_err(|e| e.to_string())
     };
 
-    let yn = |b: bool| if b { Outcome::Yes } else { Outcome::No };
-
     match args.command.as_str() {
         "classify" => match problem.classify() {
             Classification::Fo(plan) => {
@@ -527,9 +509,6 @@ fn run() -> Result<Outcome, String> {
             let mut options = ExecOptions::default();
             if let Some(join) = args.evaluator {
                 options = options.with_join(join);
-            }
-            if args.materialized {
-                options.evaluator = Evaluator::Materialized;
             }
             if let Some(budget) = args.fallback_budget {
                 options = options.with_fallback(SearchLimits::budgeted(budget));
@@ -612,31 +591,9 @@ fn run() -> Result<Outcome, String> {
                     ev.derived(),
                     ev.rounds()
                 );
-                return Ok(yn(holds));
+                return Ok(if holds { Outcome::Yes } else { Outcome::No });
             }
             Ok(Outcome::Yes)
-        }
-        "answer" => {
-            // The FO-only legacy path, a thin alias of the solver's FO
-            // route.
-            let mut options = ExecOptions::default();
-            if let Some(join) = args.evaluator {
-                options = options.with_join(join);
-            }
-            let Some(solver) = fo_solver(problem, options) else {
-                return Ok(Outcome::NotFo);
-            };
-            let db = load_db()?;
-            let ans = solver.solve(&db).is_certain();
-            println!(
-                "{}",
-                if ans {
-                    "certain: the query holds in every ⊕-repair"
-                } else {
-                    "not certain: some ⊕-repair falsifies the query"
-                }
-            );
-            Ok(yn(ans))
         }
         "oracle" => {
             let db = load_db()?;

@@ -1,5 +1,6 @@
 //! CLI exit-code contract, driven through the real binary
-//! (`CARGO_BIN_EXE_cqa`): the not-FO exit 4 for `cqa answer` and `cqa sql`, and
+//! (`CARGO_BIN_EXE_cqa`): `cqa solve`'s certain yes/no exits, the not-FO
+//! exit 4 for `cqa sql`, explicit flags overriding `.problem` fields, and
 //! `cqa serve`'s strict refusal to start on invalid `CQA_THREADS` /
 //! `CQA_EVALUATOR` — via subprocess environments, never in-process
 //! `set_var`.
@@ -38,10 +39,13 @@ const HARD: [&str; 6] = [
 ];
 
 #[test]
-fn answer_distinguishes_certain_no_from_not_fo() {
+fn solve_distinguishes_certain_yes_from_no() {
+    // `cqa solve` answers an FO problem with exit 0 (certain) or 1 (not
+    // certain). The not-FO exit 4 belongs to `cqa sql`
+    // (`sql_distinguishes_fo_from_not_fo`).
     let db = write_db("yes", "N(c,a) O(a) P(a)");
     let yes = cqa()
-        .arg("answer")
+        .arg("solve")
         .args(FO)
         .args(["--db", db.to_str().unwrap()])
         .output()
@@ -50,29 +54,23 @@ fn answer_distinguishes_certain_no_from_not_fo() {
 
     let db_no = write_db("no", "N(c,a) N(c,b) O(a) P(a)");
     let no = cqa()
-        .arg("answer")
+        .arg("solve")
         .args(FO)
         .args(["--db", db_no.to_str().unwrap()])
         .output()
         .unwrap();
     assert_eq!(no.status.code(), Some(1), "certain no exits 1");
 
-    // The regression: a hard-class problem used to be indistinguishable
-    // from those by exit code. It must exit 4 — not 1 (the answer is not
-    // "no") and not 2 (the invocation is well-formed).
-    let db_hard = write_db("hard", "N(a,c,1) O(1,w)");
-    let not_fo = cqa()
+    // The removed `answer` command is an unknown command: a usage error.
+    let gone = cqa()
         .arg("answer")
-        .args(HARD)
-        .args(["--db", db_hard.to_str().unwrap()])
+        .args(FO)
+        .args(["--db", db.to_str().unwrap()])
         .output()
         .unwrap();
-    assert_eq!(not_fo.status.code(), Some(4), "not-FO exits 4");
-    let stderr = String::from_utf8_lossy(&not_fo.stderr);
-    assert!(stderr.contains("not FO-rewritable"), "{stderr}");
-    assert!(stderr.contains("cqa solve"), "points at the right tool: {stderr}");
+    assert_eq!(gone.status.code(), Some(2), "`answer` is unknown");
 
-    for p in [db, db_no, db_hard] {
+    for p in [db, db_no] {
         let _ = std::fs::remove_file(p);
     }
 }
@@ -96,8 +94,8 @@ fn sql_distinguishes_fo_from_not_fo() {
     assert!(stdout.contains("SELECT CASE WHEN"), "{stdout}");
 
     // The regression: a valid non-FO problem used to exit 2, the usage
-    // error code. Like `answer`, it must exit 4 — whether the problem
-    // routes to a poly-time backend or only to the oracle.
+    // error code. It must exit 4 — whether the problem routes to a
+    // poly-time backend or only to the oracle.
     for name in ["reachability", "oracle_only"] {
         let not_fo = cqa()
             .args(["sql", "--problem", &problem_file(name)])
@@ -109,6 +107,24 @@ fn sql_distinguishes_fo_from_not_fo() {
     }
     let hard = cqa().arg("sql").args(HARD).output().unwrap();
     assert_eq!(hard.status.code(), Some(4), "hard flags: not-FO exits 4");
+}
+
+#[test]
+fn empty_fks_flag_overrides_the_problem_files_fks() {
+    // Explicit flags win over file fields — including `--fks ""`, which
+    // must clear the file's `fks:` line rather than read as "unset".
+    let depth = |extra: &[&str]| {
+        let out = cqa()
+            .args(["solve", "--problem", &problem_file("nested_lemma45")])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    assert!(depth(&[]).contains("plan depth 3"), "file FKs apply by default");
+    let cleared = depth(&["--fks", ""]);
+    assert!(cleared.contains("plan depth 1"), "--fks \"\" clears them: {cleared}");
 }
 
 #[test]

@@ -52,8 +52,9 @@ fn certain_answers_fast_path_matches_per_tuple_grounding_on_collisions() {
     // constants, classifies once, and reuses one compiled plan across all
     // tuples. Its load-bearing assumption is that the answer is invariant
     // when tuple values collide — with each other, or with constants
-    // already in the query. Pin that against the legacy per-tuple
-    // grounding path, tuple by tuple.
+    // already in the query. Pin that against per-tuple grounding (ground,
+    // classify, answer), tuple by tuple. A repeated free variable is one
+    // parameter whose value fills both tuple positions.
     let cases: &[(&str, &str, &str, &[&str])] = &[
         // Values of u collide with key values of R and with each other.
         ("R[2,1] S[1,1]", "R(x,u), S(x)", "R[1] -> S", &["u"]),
@@ -61,6 +62,8 @@ fn certain_answers_fast_path_matches_per_tuple_grounding_on_collisions() {
         ("R[2,1] S[2,1]", "R(x,y), S(y,z)", "", &["x", "z"]),
         // A free variable whose values collide with the query constant 'm'.
         ("A[2,1] B[2,1]", "A(x,y), B(y,'m')", "A[2] -> B", &["x"]),
+        // A free variable listed twice: full tuples come back.
+        ("R[2,1] S[2,1]", "R(x,y), S(y,z)", "", &["x", "x"]),
     ];
     let dbs = [
         "R(a,k) R(a,a) R(k,k) S(a) S(k)",
@@ -85,7 +88,7 @@ fn certain_answers_fast_path_matches_per_tuple_grounding_on_collisions() {
                 candidates.insert(free.iter().map(|v| val[v]).collect());
             }
             for tuple in candidates {
-                // Legacy path: ground, classify, answer — per tuple.
+                // Reference: ground, classify, answer — per tuple.
                 let subst: std::collections::BTreeMap<Var, Term> = free
                     .iter()
                     .zip(tuple.iter())

@@ -1,10 +1,10 @@
-//! Property-based tests for the FO engine: the guarded evaluator agrees
-//! with naive active-domain evaluation on arbitrary formulas (closed, and
-//! open under arbitrary bindings — including constants outside the active
-//! domain), the compiled evaluator agrees with the interpretive reference,
-//! and simplification preserves semantics.
+//! Property-based tests for the FO engine: the guard-directed compiled
+//! evaluator agrees with the naive textbook interpreter on arbitrary
+//! formulas (closed, and open under arbitrary bindings — including
+//! constants outside the active domain), and simplification preserves
+//! semantics.
 
-use cqa::fo::eval::{eval_with, Strategy as EvalStrategy};
+use cqa::fo::eval::eval_with;
 use cqa::fo::{interp, simplify, Formula};
 use cqa::prelude::*;
 use cqa_model::Valuation;
@@ -100,9 +100,11 @@ proptest! {
 
     #[test]
     fn guarded_equals_naive(f in arb_formula(), db in arb_instance()) {
+        // On sentences: the guard-directed compiled evaluator against the
+        // naive textbook interpreter.
         let f = close(f);
-        let guarded = eval_with(&db, &f, &Valuation::new(), EvalStrategy::Guarded);
-        let naive = eval_with(&db, &f, &Valuation::new(), EvalStrategy::Naive);
+        let guarded = eval_with(&db, &f, &Valuation::new());
+        let naive = interp::eval_with(&db, &f, &Valuation::new());
         prop_assert_eq!(guarded, naive, "formula {} on {}", f, db);
     }
 
@@ -113,45 +115,22 @@ proptest! {
         picks in proptest::collection::vec(0..BINDING_CSTS.len(), 1..4),
     ) {
         // Open formula, free variables bound to constants that may lie
-        // outside adom(db) ∪ const(f): all four engines (compiled and
-        // interpretive reference, guarded and naive) must agree.
+        // outside adom(db) ∪ const(f): the compiled evaluator and the naive
+        // interpreter must agree.
         let binding = bind_free(&f, &picks);
-        let compiled_g = eval_with(&db, &f, &binding, EvalStrategy::Guarded);
-        let compiled_n = eval_with(&db, &f, &binding, EvalStrategy::Naive);
-        let interp_g = interp::eval_with(&db, &f, &binding, EvalStrategy::Guarded);
-        let interp_n = interp::eval_with(&db, &f, &binding, EvalStrategy::Naive);
         prop_assert_eq!(
-            compiled_g, compiled_n,
-            "strategies disagree: {} under {:?} on {}", f, binding, db
+            eval_with(&db, &f, &binding),
+            interp::eval_with(&db, &f, &binding),
+            "compiled vs interp: {} under {:?} on {}", f, binding, db
         );
-        prop_assert_eq!(
-            compiled_g, interp_g,
-            "compiled vs interp (guarded): {} under {:?} on {}", f, binding, db
-        );
-        prop_assert_eq!(
-            compiled_n, interp_n,
-            "compiled vs interp (naive): {} under {:?} on {}", f, binding, db
-        );
-    }
-
-    #[test]
-    fn compiled_agrees_with_interp_on_sentences(f in arb_formula(), db in arb_instance()) {
-        let f = close(f);
-        for strategy in [EvalStrategy::Guarded, EvalStrategy::Naive] {
-            prop_assert_eq!(
-                eval_with(&db, &f, &Valuation::new(), strategy),
-                interp::eval_with(&db, &f, &Valuation::new(), strategy),
-                "compiled vs interp ({:?}): {} on {}", strategy, f, db
-            );
-        }
     }
 
     #[test]
     fn simplify_preserves_semantics(f in arb_formula(), db in arb_instance()) {
         let f = close(f);
         let s = simplify(&f);
-        let before = eval_with(&db, &f, &Valuation::new(), EvalStrategy::Guarded);
-        let after = eval_with(&db, &s, &Valuation::new(), EvalStrategy::Guarded);
+        let before = eval_with(&db, &f, &Valuation::new());
+        let after = eval_with(&db, &s, &Valuation::new());
         prop_assert_eq!(before, after, "{} vs simplified {}", f, s);
     }
 
@@ -171,8 +150,8 @@ proptest! {
         let f = close(f);
         let nn = Formula::not(Formula::not(f.clone()));
         prop_assert_eq!(
-            eval_with(&db, &f, &Valuation::new(), EvalStrategy::Guarded),
-            eval_with(&db, &nn, &Valuation::new(), EvalStrategy::Guarded)
+            eval_with(&db, &f, &Valuation::new()),
+            eval_with(&db, &nn, &Valuation::new())
         );
     }
 
@@ -182,8 +161,8 @@ proptest! {
         let lhs = Formula::not(Formula::and([f.clone(), g.clone()]));
         let rhs = Formula::or([Formula::not(f), Formula::not(g)]);
         prop_assert_eq!(
-            eval_with(&db, &lhs, &Valuation::new(), EvalStrategy::Guarded),
-            eval_with(&db, &rhs, &Valuation::new(), EvalStrategy::Guarded)
+            eval_with(&db, &lhs, &Valuation::new()),
+            eval_with(&db, &rhs, &Valuation::new())
         );
     }
 }
